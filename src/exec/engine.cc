@@ -4,11 +4,10 @@
 #include <chrono>
 #include <cstring>
 #include <map>
-#include <unordered_map>
 
-#include "catalog/hll.h"
 #include "common/annotated_mutex.h"
 #include "exec/evaluator.h"
+#include "exec/hash_tables.h"
 #include "storage/table.h"
 
 namespace costdb {
@@ -51,27 +50,6 @@ struct GroupState {
   std::vector<AggState> aggs;
 };
 
-bool KeysEqual(const std::vector<ColumnVector>& a, size_t ra,
-               const std::vector<ColumnVector>& b, size_t rb) {
-  for (size_t k = 0; k < a.size(); ++k) {
-    if (a[k].IsNull(ra) || b[k].IsNull(rb)) return false;  // NULL joins nothing
-    const bool a_str = a[k].physical_type() == PhysicalType::kString;
-    const bool b_str = b[k].physical_type() == PhysicalType::kString;
-    if (a_str != b_str) return false;
-    if (a_str) {
-      if (a[k].GetString(ra) != b[k].GetString(rb)) return false;
-      continue;
-    }
-    auto num = [](const ColumnVector& v, size_t i) {
-      return v.physical_type() == PhysicalType::kDouble
-                 ? v.GetDouble(i)
-                 : static_cast<double>(v.GetInt(i));
-    };
-    if (num(a[k], ra) != num(b[k], rb)) return false;
-  }
-  return true;
-}
-
 /// One column's contribution to the serialized row key (see
 /// EncodeRowKeyInto in engine.h for the format contract).
 void EncodeKeyColumn(const ColumnVector& g, size_t row, std::string* key) {
@@ -109,14 +87,24 @@ void EncodeKeyColumn(const ColumnVector& g, size_t row, std::string* key) {
   *key += '\x01';
 }
 
-/// Morsel-local partial aggregation: group index + one state per group.
-/// Merged into the global (ordered) table in morsel order after the
-/// parallel loop, so no lock is held on the per-row path and results are
-/// deterministic; the partial itself can stay unordered — per-key merge
-/// order is slot order either way.
+/// Morsel-local partial aggregation: one (encoded group key, state) entry
+/// per group, the key empty for a global aggregate. Merged into the global
+/// (ordered) table in morsel order after the parallel loop, so no lock is
+/// held on the per-row path and results are deterministic; the entries
+/// themselves can stay unordered — per-key merge order is slot order
+/// either way.
 struct SlotAggPartial {
-  std::unordered_map<std::string, GroupState> groups;
+  std::vector<std::pair<std::string, GroupState>> groups;
   size_t rows_folded = 0;
+
+  /// The single group of a global aggregate, created on first use.
+  GroupState& Global(size_t num_aggs) {
+    if (groups.empty()) {
+      groups.emplace_back();
+      groups.back().second.aggs.resize(num_aggs);
+    }
+    return groups.back().second;
+  }
 };
 
 /// Column-at-a-time fold of one morsel's chunk into `partial`.
@@ -125,27 +113,23 @@ Status FoldChunkIntoGroups(const PhysicalPlan* sink,
                            const std::vector<ColumnVector>& agg_inputs,
                            size_t rows, SlotAggPartial* partial) {
   partial->rows_folded += rows;
-  // Pass 1: per-row group lookup (the only row-at-a-time step; the key
-  // buffer is reused so the loop does not allocate once groups repeat).
-  std::vector<GroupState*> row_group(rows);
-  std::string key;
-  for (size_t r = 0; r < rows; ++r) {
-    EncodeRowKeyInto(group_vecs, r, &key);
-    auto [it, inserted] = partial->groups.try_emplace(key);
-    GroupState& gs = it->second;
-    if (inserted) {  // aggs may stay empty (aggregate-free GROUP BY)
-      gs.aggs.resize(sink->aggregates.size());
-      for (const auto& g : group_vecs) {
-        gs.group_values.push_back(g.GetValue(r));
-      }
-    }
-    row_group[r] = &gs;
-  }
-  // Pass 2: one vectorized sweep per aggregate over the typed payloads.
-  for (size_t a = 0; a < sink->aggregates.size(); ++a) {
+  // Pass 1: per-row group lookup in a typed table (the only row-at-a-time
+  // step; keys are hashed column-at-a-time and compared in place).
+  GroupTable table(group_vecs);
+  std::vector<uint32_t> row_group;
+  table.FindOrInsert(group_vecs, rows, &row_group);
+  // Pass 2: one vectorized sweep per aggregate over the typed payloads,
+  // into a flat group-major state array (empty for an aggregate-free
+  // GROUP BY).
+  const size_t num_aggs = sink->aggregates.size();
+  std::vector<AggState> states(table.size() * num_aggs);
+  auto state = [&](size_t r, size_t a) -> AggState& {
+    return states[row_group[r] * num_aggs + a];
+  };
+  for (size_t a = 0; a < num_aggs; ++a) {
     const Expr& agg = *sink->aggregates[a];
     if (agg.agg == AggFunc::kCountStar) {
-      for (size_t r = 0; r < rows; ++r) ++row_group[r]->aggs[a].count;
+      for (size_t r = 0; r < rows; ++r) ++state(r, a).count;
       continue;
     }
     const ColumnVector& in = agg_inputs[a];
@@ -154,7 +138,7 @@ Status FoldChunkIntoGroups(const PhysicalPlan* sink,
         // COUNT(col) counts non-null rows of any type — never touch the
         // typed payload (it may be a string column).
         for (size_t r = 0; r < rows; ++r) {
-          if (!in.IsNull(r)) ++row_group[r]->aggs[a].count;
+          if (!in.IsNull(r)) ++state(r, a).count;
         }
         break;
       case AggFunc::kSum:
@@ -163,7 +147,7 @@ Status FoldChunkIntoGroups(const PhysicalPlan* sink,
           const auto& vals = in.ints();
           for (size_t r = 0; r < rows; ++r) {
             if (in.IsNull(r)) continue;
-            AggState& st = row_group[r]->aggs[a];
+            AggState& st = state(r, a);
             ++st.count;
             st.isum += vals[r];
             st.dsum += static_cast<double>(vals[r]);
@@ -172,7 +156,7 @@ Status FoldChunkIntoGroups(const PhysicalPlan* sink,
           const auto& vals = in.doubles();
           for (size_t r = 0; r < rows; ++r) {
             if (in.IsNull(r)) continue;
-            AggState& st = row_group[r]->aggs[a];
+            AggState& st = state(r, a);
             ++st.count;
             st.dsum += vals[r];
           }
@@ -182,7 +166,7 @@ Status FoldChunkIntoGroups(const PhysicalPlan* sink,
       case AggFunc::kMax:
         for (size_t r = 0; r < rows; ++r) {
           if (in.IsNull(r)) continue;
-          AggState& st = row_group[r]->aggs[a];
+          AggState& st = state(r, a);
           ++st.count;
           Value v = in.GetValue(r);
           if (!st.has_value) {
@@ -199,6 +183,20 @@ Status FoldChunkIntoGroups(const PhysicalPlan* sink,
         return Status::Internal("unexpected aggregate function");
     }
   }
+  // Each group's key is encoded once here, for the ordered cross-morsel
+  // merge — never per row.
+  partial->groups.reserve(partial->groups.size() + table.size());
+  for (size_t g = 0; g < table.size(); ++g) {
+    std::pair<std::string, GroupState> entry;
+    EncodeRowKeyInto(table.keys(), g, &entry.first);
+    for (const auto& k : table.keys()) {
+      entry.second.group_values.push_back(k.GetValue(g));
+    }
+    entry.second.aggs.assign(
+        std::make_move_iterator(states.begin() + g * num_aggs),
+        std::make_move_iterator(states.begin() + (g + 1) * num_aggs));
+    partial->groups.push_back(std::move(entry));
+  }
   return Status::OK();
 }
 
@@ -208,8 +206,7 @@ Status FoldChunkIntoGlobal(const PhysicalPlan* sink,
                            const std::vector<ColumnVector>& agg_inputs,
                            size_t rows, SlotAggPartial* partial) {
   partial->rows_folded += rows;
-  GroupState& gs = partial->groups[std::string()];
-  if (gs.aggs.empty()) gs.aggs.resize(sink->aggregates.size());
+  GroupState& gs = partial->Global(sink->aggregates.size());
   for (size_t a = 0; a < sink->aggregates.size(); ++a) {
     const Expr& agg = *sink->aggregates[a];
     AggState& st = gs.aggs[a];
@@ -235,6 +232,27 @@ Status FoldChunkIntoGlobal(const PhysicalPlan* sink,
     }
   }
   return Status::OK();
+}
+
+/// Three-way compare of rows `a` and `b` of one sort-key column, in
+/// Value's order without boxing: NULL first, int64 exact, doubles
+/// numerically, strings bytewise.
+int CompareSortKey(const ColumnVector& v, uint32_t a, uint32_t b) {
+  const bool a_null = v.IsNull(a);
+  const bool b_null = v.IsNull(b);
+  if (a_null || b_null) return int(b_null) - int(a_null);
+  auto three_way = [](auto x, auto y) { return int(y < x) - int(x < y); };
+  switch (v.physical_type()) {
+    case PhysicalType::kInt64:
+      return three_way(v.GetInt(a), v.GetInt(b));
+    case PhysicalType::kDouble:
+      return three_way(v.GetDouble(a), v.GetDouble(b));
+    case PhysicalType::kString: {
+      const int c = v.GetString(a).compare(v.GetString(b));
+      return int(c > 0) - int(c < 0);
+    }
+  }
+  return 0;
 }
 
 }  // namespace
@@ -268,9 +286,7 @@ std::string QueryResult::ToString(int64_t limit) const {
 struct LocalEngine::BreakerState {
   // Join build.
   DataChunk build_data;
-  std::vector<ColumnVector> build_key_vectors;
-  std::unordered_multimap<uint64_t, uint32_t> build_index;
-  std::vector<bool> keys_as_double;
+  JoinHashTable build_table;
   // Aggregate / sort output.
   DataChunk materialized;
   bool materialized_valid = false;
@@ -362,26 +378,10 @@ struct MorselProcessor {
       COSTDB_ASSIGN_OR_RETURN(v, ev.Evaluate(*k, *chunk));
       probe_keys.push_back(std::move(v));
     }
-    std::vector<uint64_t> hashes;
-    kernels::HashRows(probe_keys, bs.keys_as_double, chunk->num_rows(),
-                      &hashes);
     SelectionVector probe_sel;
     std::vector<uint32_t> build_sel;
-    const size_t probe_rows = chunk->num_rows();
-    for (uint32_t r = 0; r < probe_rows; ++r) {
-      // SQL three-valued logic: a NULL probe key matches nothing. Skip
-      // before the lookup — NULL keys share one hash tag, so probing
-      // would walk the whole NULL chain just for KeysEqual to reject it.
-      if (kernels::AnyKeyNull(probe_keys, r)) continue;
-      auto range = bs.build_index.equal_range(hashes[r]);
-      for (auto m = range.first; m != range.second; ++m) {
-        if (!KeysEqual(probe_keys, r, bs.build_key_vectors, m->second)) {
-          continue;
-        }
-        probe_sel.push_back(r);
-        build_sel.push_back(m->second);
-      }
-    }
+    bs.build_table.Match(probe_keys, chunk->num_rows(), &probe_sel,
+                         &build_sel);
     DataChunk out(join->output_types);
     const size_t probe_cols = chunk->num_columns();
     for (size_t c = 0; c < probe_cols; ++c) {
@@ -401,7 +401,7 @@ struct MorselProcessor {
   /// and output columns are gathered once, for *matching* rows only — the
   /// interpreted path's full filtered-chunk materialization never happens.
   /// Hashing, NULL-key rejection, and match order are shared with Probe
-  /// (same kernels, same row order), so output is bit-identical.
+  /// (one JoinHashTable::Match walk), so output is bit-identical.
   Status FusedProbe(const PhysicalPlan* join, const ChunkView& view,
                     const SelectionVector& sel,
                     const std::vector<uint32_t>& key_cols,
@@ -416,22 +416,9 @@ struct MorselProcessor {
     for (uint32_t c : key_cols) {
       probe_keys.push_back(view.column(c).Gather(sel));
     }
-    std::vector<uint64_t> hashes;
-    kernels::HashRows(probe_keys, bs.keys_as_double, sel.size(), &hashes);
     SelectionVector probe_sel;  // indices into the survivor domain
     std::vector<uint32_t> build_sel;
-    const size_t probe_rows = sel.size();
-    for (uint32_t r = 0; r < probe_rows; ++r) {
-      if (kernels::AnyKeyNull(probe_keys, r)) continue;
-      auto range = bs.build_index.equal_range(hashes[r]);
-      for (auto m = range.first; m != range.second; ++m) {
-        if (!KeysEqual(probe_keys, r, bs.build_key_vectors, m->second)) {
-          continue;
-        }
-        probe_sel.push_back(r);
-        build_sel.push_back(m->second);
-      }
-    }
+    bs.build_table.Match(probe_keys, sel.size(), &probe_sel, &build_sel);
     // Translate survivor-domain matches back to absolute view rows.
     SelectionVector abs_sel(probe_sel.size());
     for (size_t k = 0; k < probe_sel.size(); ++k) {
@@ -692,8 +679,7 @@ Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
           if (*survivors > 0) {
             SlotAggPartial& partial = slot_aggs[slot];
             partial.rows_folded += *survivors;
-            GroupState& gs = partial.groups[std::string()];
-            gs.aggs.resize(sink->aggregates.size());
+            GroupState& gs = partial.Global(sink->aggregates.size());
             for (size_t a = 0; a < fused_agg_specs.size(); ++a) {
               AggState& st = gs.aggs[a];
               const FusedAggState& fs = states[a];
@@ -957,27 +943,20 @@ Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
     // Evaluate build keys and index them.
     std::vector<std::string> build_names = sink->children[1]->output_names;
     Evaluator ev(&build_names);
-    bs.keys_as_double.clear();
+    std::vector<bool> keys_as_double;
+    std::vector<ColumnVector> key_vectors;
     for (size_t k = 0; k < sink->build_keys.size(); ++k) {
-      bool as_double = sink->build_keys[k]->type == LogicalType::kDouble ||
-                       sink->probe_keys[k]->type == LogicalType::kDouble;
-      bs.keys_as_double.push_back(as_double);
-    }
-    for (const auto& k : sink->build_keys) {
+      keys_as_double.push_back(
+          sink->build_keys[k]->type == LogicalType::kDouble ||
+          sink->probe_keys[k]->type == LogicalType::kDouble);
       ColumnVector v;
-      COSTDB_ASSIGN_OR_RETURN(v, ev.Evaluate(*k, bs.build_data));
-      bs.build_key_vectors.push_back(std::move(v));
+      COSTDB_ASSIGN_OR_RETURN(v, ev.Evaluate(*sink->build_keys[k],
+                                             bs.build_data));
+      key_vectors.push_back(std::move(v));
     }
     const size_t rows = bs.build_data.num_rows();
-    std::vector<uint64_t> hashes;
-    kernels::HashRows(bs.build_key_vectors, bs.keys_as_double, rows, &hashes);
-    bs.build_index.reserve(rows * 2);
-    for (size_t r = 0; r < rows; ++r) {
-      // A NULL build key can never be matched; indexing it would only
-      // lengthen the shared NULL-tag chain every probe miss walks.
-      if (kernels::AnyKeyNull(bs.build_key_vectors, r)) continue;
-      bs.build_index.emplace(hashes[r], static_cast<uint32_t>(r));
-    }
+    bs.build_table.Build(std::move(key_vectors), std::move(keys_as_double),
+                         rows);
     if (timing != nullptr) timing->output_rows = double(rows);
     return Status::OK();
   }
@@ -1076,11 +1055,9 @@ Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
     for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<uint32_t>(i);
     std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
       for (size_t k = 0; k < key_vecs.size(); ++k) {
-        Value va = key_vecs[k].GetValue(a);
-        Value vb = key_vecs[k].GetValue(b);
-        if (va == vb) continue;
-        bool less = va < vb;
-        return sink->sort_keys[k].descending ? !less : less;
+        const int c = CompareSortKey(key_vecs[k], a, b);
+        if (c == 0) continue;
+        return sink->sort_keys[k].descending ? c > 0 : c < 0;
       }
       return false;
     });

@@ -17,7 +17,12 @@ bool Value::operator<(const Value& other) const {
   int fb = FamilyRank(other);
   if (fa != fb) return fa < fb;
   if (fa == 0) return false;  // NULL == NULL for ordering
-  if (fa == 1) return AsDouble() < other.AsDouble();
+  if (fa == 1) {
+    // int64 pairs compare exactly: through double, distinct ints above
+    // 2^53 would be neither less nor greater while == tells them apart.
+    if (is_int() && other.is_int()) return AsInt() < other.AsInt();
+    return AsDouble() < other.AsDouble();
+  }
   return AsString() < other.AsString();
 }
 

@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <map>
 
 #include "common/rng.h"
 #include "cost/operator_models.h"
 #include "exec/engine.h"
 #include "exec/evaluator.h"
 #include "exec/fused.h"
+#include "exec/hash_tables.h"
 #include "optimizer/optimizer.h"
 #include "storage/table.h"
 
@@ -1003,6 +1006,183 @@ TEST_F(VectorizedEngineTest, UnfusableShapeFallsBackAndStillAgrees) {
   const FusedExecStats& stats = fused_engine.last_fused_stats();
   EXPECT_FALSE(stats.any_fused());
   EXPECT_EQ(fused->chunk.ToString(-1), plain->chunk.ToString(-1));
+}
+
+// ------------------------------------------------ join and group tables
+
+/// Random hash-table key columns of `rows` rows over small domains (so keys
+/// repeat): an int64 column, a double column drawn from values that include
+/// -0.0 and 0.0, and a string column with "" and '\x01'-bearing strings.
+/// Every column carries NULLs.
+std::vector<ColumnVector> RandomKeyColumns(Rng* rng, size_t rows,
+                                           int64_t int_domain) {
+  const double kDoubles[] = {0.0, -0.0, 1.5, -2.25, 1e300};
+  const std::string kStrings[] = {"", "a", "a\x01", "\x01", "ab", "b\x01\x01"};
+  std::vector<ColumnVector> cols;
+  cols.emplace_back(LogicalType::kInt64);
+  cols.emplace_back(LogicalType::kDouble);
+  cols.emplace_back(LogicalType::kVarchar);
+  for (size_t r = 0; r < rows; ++r) {
+    auto null_here = [&] { return rng->NextDouble() < 0.08; };
+    if (null_here()) {
+      cols[0].AppendNull();
+    } else {
+      cols[0].AppendInt(rng->UniformInt(0, int_domain - 1));
+    }
+    if (null_here()) {
+      cols[1].AppendNull();
+    } else {
+      cols[1].AppendDouble(kDoubles[rng->UniformInt(0, 4)]);
+    }
+    if (null_here()) {
+      cols[2].AppendNull();
+    } else {
+      cols[2].AppendString(kStrings[rng->UniformInt(0, 5)]);
+    }
+  }
+  return cols;
+}
+
+TEST(GroupTable, GroupsExactlyLikeEncodedKeysAndGrows) {
+  Rng rng(2024);
+  for (int iter = 0; iter < 12; ++iter) {
+    const size_t rows = 500 + static_cast<size_t>(rng.UniformInt(0, 3000));
+    std::vector<ColumnVector> cols = RandomKeyColumns(&rng, rows, 40);
+    // Single-column keys on some iterations, all three on the rest.
+    if (iter % 3 == 0) cols.resize(1 + static_cast<size_t>(iter % 2));
+    GroupTable table(cols);
+    std::vector<uint32_t> group_of_row;
+    table.FindOrInsert(cols, rows, &group_of_row);
+    ASSERT_EQ(group_of_row.size(), rows);
+
+    // Reference: the encoded row key is the group identity, and groups are
+    // numbered in first-seen order.
+    std::map<std::string, uint32_t> expected;
+    std::vector<size_t> first_row;
+    std::string key;
+    for (size_t r = 0; r < rows; ++r) {
+      EncodeRowKeyInto(cols, r, &key);
+      auto [it, inserted] =
+          expected.try_emplace(key, static_cast<uint32_t>(expected.size()));
+      if (inserted) first_row.push_back(r);
+      ASSERT_EQ(group_of_row[r], it->second) << "iter " << iter << " row " << r;
+    }
+    ASSERT_EQ(table.size(), expected.size());
+    if (cols.size() == 3) {
+      EXPECT_GT(table.size(), GroupTable::kInitialSlots) << "table never grew";
+    }
+    // Stored keys are each group's first row, typed, NULLs included.
+    std::string stored;
+    for (size_t g = 0; g < table.size(); ++g) {
+      EncodeRowKeyInto(cols, first_row[g], &key);
+      EncodeRowKeyInto(table.keys(), g, &stored);
+      EXPECT_EQ(stored, key);
+    }
+  }
+}
+
+TEST(GroupTable, NegativeZeroJoinsZeroAndNullJoinsNull) {
+  std::vector<ColumnVector> cols;
+  cols.emplace_back(LogicalType::kDouble);
+  cols[0].AppendDouble(-0.0);
+  cols[0].AppendNull();
+  cols[0].AppendDouble(0.0);
+  cols[0].AppendNull();
+  cols[0].AppendDouble(std::nextafter(0.0, 1.0));
+  GroupTable table(cols);
+  std::vector<uint32_t> group_of_row;
+  table.FindOrInsert(cols, 5, &group_of_row);
+  EXPECT_EQ(group_of_row, (std::vector<uint32_t>{0, 1, 0, 1, 2}));
+  ASSERT_EQ(table.size(), 3u);
+  EXPECT_TRUE(std::signbit(table.keys()[0].GetDouble(0)));  // first row's
+  EXPECT_TRUE(table.keys()[0].IsNull(1));
+}
+
+/// Nested-loop join reference: probe rows ascending, each probe row's
+/// matches newest build row first; a NULL key on either side matches
+/// nothing; int/double pairs compare as doubles.
+void NestedLoopJoin(const std::vector<ColumnVector>& probe,
+                    const std::vector<ColumnVector>& build, size_t probe_rows,
+                    size_t build_rows, SelectionVector* probe_sel,
+                    std::vector<uint32_t>* build_sel) {
+  for (uint32_t p = 0; p < probe_rows; ++p) {
+    for (uint32_t b = static_cast<uint32_t>(build_rows); b-- > 0;) {
+      bool equal = true;
+      for (size_t k = 0; k < probe.size() && equal; ++k) {
+        const Value pv = probe[k].GetValue(p);
+        const Value bv = build[k].GetValue(b);
+        equal = !pv.is_null() && !bv.is_null() && pv == bv;
+      }
+      if (!equal) continue;
+      probe_sel->push_back(p);
+      build_sel->push_back(b);
+    }
+  }
+}
+
+TEST(JoinHashTable, MatchesNestedLoopNewestBuildRowFirst) {
+  Rng rng(77);
+  for (int iter = 0; iter < 16; ++iter) {
+    const size_t build_rows = 1 + static_cast<size_t>(rng.UniformInt(0, 300));
+    const size_t probe_rows = static_cast<size_t>(rng.UniformInt(0, 400));
+    std::vector<ColumnVector> build = RandomKeyColumns(&rng, build_rows, 12);
+    std::vector<ColumnVector> probe = RandomKeyColumns(&rng, probe_rows, 12);
+    // Key shapes: int alone (duplicate-heavy), int + string, all three.
+    const size_t num_keys = 1 + static_cast<size_t>(iter % 3);
+    build.resize(num_keys);
+    probe.resize(num_keys);
+    // 0 = sized to the rows; 1 and 4 put many distinct keys in one bucket.
+    const size_t buckets[] = {0, 1, 4};
+    JoinHashTable table;
+    table.Build(build, std::vector<bool>(num_keys, false), build_rows,
+                buckets[(iter / 3) % 3]);
+    SelectionVector probe_sel, want_probe;
+    std::vector<uint32_t> build_sel, want_build;
+    table.Match(probe, probe_rows, &probe_sel, &build_sel);
+    NestedLoopJoin(probe, build, probe_rows, build_rows, &want_probe,
+                   &want_build);
+    EXPECT_EQ(probe_sel, want_probe) << "iter " << iter;
+    EXPECT_EQ(build_sel, want_build) << "iter " << iter;
+  }
+}
+
+TEST(JoinHashTable, IntKeysCompareExactlyAndJoinDoublesNumerically) {
+  // Distinct int64s above 2^53 round to one double. Hashed as doubles
+  // they share a hash, so only an exact int64 compare keeps them apart.
+  const int64_t big = int64_t{1} << 53;
+  std::vector<ColumnVector> build(1, ColumnVector(LogicalType::kInt64));
+  build[0].AppendInt(big);
+  build[0].AppendInt(big + 1);
+  build[0].AppendInt(3);
+  JoinHashTable table;
+  table.Build(build, {true}, 3);
+  std::vector<ColumnVector> probe(1, ColumnVector(LogicalType::kInt64));
+  probe[0].AppendInt(big + 1);
+  SelectionVector probe_sel;
+  std::vector<uint32_t> build_sel;
+  table.Match(probe, 1, &probe_sel, &build_sel);
+  EXPECT_EQ(build_sel, (std::vector<uint32_t>{1}));
+
+  // An int build key joins the equal double (the int side hashes as a
+  // double).
+  std::vector<ColumnVector> dprobe(1, ColumnVector(LogicalType::kDouble));
+  dprobe[0].AppendDouble(3.0);
+  dprobe[0].AppendDouble(3.5);
+  probe_sel.clear();
+  build_sel.clear();
+  table.Match(dprobe, 2, &probe_sel, &build_sel);
+  EXPECT_EQ(probe_sel, (std::vector<uint32_t>{0}));
+  EXPECT_EQ(build_sel, (std::vector<uint32_t>{2}));
+}
+
+TEST(JoinHashTable, NoKeysIsACrossJoin) {
+  JoinHashTable table;
+  table.Build({}, {}, 3);
+  SelectionVector probe_sel;
+  std::vector<uint32_t> build_sel;
+  table.Match({}, 2, &probe_sel, &build_sel);
+  EXPECT_EQ(probe_sel, (std::vector<uint32_t>{0, 0, 0, 1, 1, 1}));
+  EXPECT_EQ(build_sel, (std::vector<uint32_t>{2, 1, 0, 2, 1, 0}));
 }
 
 }  // namespace
