@@ -346,15 +346,19 @@ run_tsan_stage() {
   # exec_test rides along: morsel threads probe one shared join hash table
   # concurrently (read-only after the build pipeline), and its
   # thread-count parity tests run exactly that at 1, 2 and 4 threads.
-  echo "== TSAN (service + session + tenant + sharded + elastic + vectorized + catalog + exec) =="
+  # storage_test rides along: a morsel's chunk borrows its pinned row
+  # group's columns through the whole operator chain, so cold pins stay
+  # held while other morsel threads insert into and evict from the shared
+  # BlockCache — and its cold scans run at exec_threads = 2.
+  echo "== TSAN (service + session + tenant + sharded + elastic + vectorized + catalog + exec + storage) =="
   local build_dir="${TSAN_BUILD_DIR:-build-tsan}"
   cmake -B "$build_dir" -S . -DCOSTDB_TSAN=ON "${CMAKE_LAUNCHER_ARGS[@]}"
   cmake --build "$build_dir" -j "$JOBS" \
     --target service_test session_test tenant_test sharded_test \
-    elastic_test vectorized_test catalog_test exec_test
+    elastic_test vectorized_test catalog_test exec_test storage_test
   local t
   for t in service_test session_test tenant_test sharded_test elastic_test \
-           vectorized_test catalog_test exec_test; do
+           vectorized_test catalog_test exec_test storage_test; do
     TSAN_OPTIONS="halt_on_error=1" "$build_dir/$t"
   done
   echo "TSAN OK"

@@ -4,6 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
+
 namespace costdb {
 
 /// HyperLogLog distinct-count sketch (p = 12, 4096 registers, ~1.6% typical
@@ -31,11 +33,5 @@ class HyperLogLog {
   uint64_t num_registers_;
   std::vector<uint8_t> registers_;
 };
-
-/// 64-bit mix hash used by the sketch and the join hash tables.
-uint64_t HashInt64(int64_t v);
-uint64_t HashDouble(double v);
-uint64_t HashString(const std::string& v);
-uint64_t HashCombine(uint64_t a, uint64_t b);
 
 }  // namespace costdb

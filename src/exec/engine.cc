@@ -107,17 +107,18 @@ struct SlotAggPartial {
   }
 };
 
-/// Column-at-a-time fold of one morsel's chunk into `partial`.
+/// Column-at-a-time fold of one morsel's chunk into `partial`. Keys and
+/// inputs are borrowed; `agg_inputs[a]` is nullptr for COUNT(*).
 Status FoldChunkIntoGroups(const PhysicalPlan* sink,
-                           const std::vector<ColumnVector>& group_vecs,
-                           const std::vector<ColumnVector>& agg_inputs,
+                           const ChunkView& group_keys,
+                           const std::vector<const ColumnVector*>& agg_inputs,
                            size_t rows, SlotAggPartial* partial) {
   partial->rows_folded += rows;
   // Pass 1: per-row group lookup in a typed table (the only row-at-a-time
   // step; keys are hashed column-at-a-time and compared in place).
-  GroupTable table(group_vecs);
+  GroupTable table(group_keys);
   std::vector<uint32_t> row_group;
-  table.FindOrInsert(group_vecs, rows, &row_group);
+  table.FindOrInsert(group_keys, rows, &row_group);
   // Pass 2: one vectorized sweep per aggregate over the typed payloads,
   // into a flat group-major state array (empty for an aggregate-free
   // GROUP BY).
@@ -132,7 +133,7 @@ Status FoldChunkIntoGroups(const PhysicalPlan* sink,
       for (size_t r = 0; r < rows; ++r) ++state(r, a).count;
       continue;
     }
-    const ColumnVector& in = agg_inputs[a];
+    const ColumnVector& in = *agg_inputs[a];
     switch (agg.agg) {
       case AggFunc::kCount:
         // COUNT(col) counts non-null rows of any type — never touch the
@@ -203,7 +204,7 @@ Status FoldChunkIntoGroups(const PhysicalPlan* sink,
 /// Global-aggregate fast path (no GROUP BY): pure column reductions, no
 /// key encoding at all.
 Status FoldChunkIntoGlobal(const PhysicalPlan* sink,
-                           const std::vector<ColumnVector>& agg_inputs,
+                           const std::vector<const ColumnVector*>& agg_inputs,
                            size_t rows, SlotAggPartial* partial) {
   partial->rows_folded += rows;
   GroupState& gs = partial->Global(sink->aggregates.size());
@@ -214,7 +215,7 @@ Status FoldChunkIntoGlobal(const PhysicalPlan* sink,
       st.count += static_cast<int64_t>(rows);
       continue;
     }
-    const ColumnVector& in = agg_inputs[a];
+    const ColumnVector& in = *agg_inputs[a];
     switch (agg.agg) {
       case AggFunc::kCount:
         st.count += kernels::CountValid(in);  // any type, nulls skipped
@@ -253,6 +254,178 @@ int CompareSortKey(const ColumnVector& v, uint32_t a, uint32_t b) {
     }
   }
   return 0;
+}
+
+/// True when `sel` keeps every one of `rows` rows, in order.
+bool IsIdentity(const SelectionVector& sel, size_t rows) {
+  if (sel.size() != rows) return false;
+  for (size_t k = 0; k < rows; ++k) {
+    if (sel[k] != k) return false;
+  }
+  return true;
+}
+
+/// One morsel's chunk between streaming operators, late-materialized in
+/// the sense of Abadi et al., "Materialization Strategies in a
+/// Column-Oriented DBMS" (ICDE 2007). Row k of column c is row
+/// `sels_[s][k]` of the column's base, where s is the selection the column
+/// reads through, or row k itself when the column is dense. Columns share
+/// a few selections (one per side of the joins seen so far), so a probe
+/// composes each selection with its matches — one uint32_t gather per
+/// selection — instead of gathering every typed column.
+///
+/// Lifetime rule: a base is a pinned row-group column (the pin is held for
+/// the whole morsel), a column of a finished join build's `build_data`
+/// (held until the query ends), or a column of `owned_`. Nothing is copied
+/// until a column is read (Column) or the chunk is materialized.
+class LateChunk {
+ public:
+  LateChunk() = default;
+  LateChunk(const LateChunk&) = delete;
+  LateChunk& operator=(const LateChunk&) = delete;
+
+  size_t num_rows() const { return rows_; }
+  size_t num_columns() const { return cols_.size(); }
+
+  /// Replace the contents with `chunk`'s columns, owned and dense.
+  void Own(DataChunk chunk) {
+    owned_ = std::move(chunk);
+    sels_.clear();
+    cols_.clear();
+    for (size_t c = 0; c < owned_.num_columns(); ++c) {
+      cols_.push_back({&owned_.column(c), kDense});
+    }
+    rows_ = owned_.num_rows();
+  }
+
+  /// Replace the contents with `view`'s columns, borrowed: dense when
+  /// `survivors` (ascending view rows) is null or keeps every row, read
+  /// through it otherwise.
+  void Borrow(const ChunkView& view, SelectionVector* survivors) {
+    owned_ = DataChunk();
+    sels_.clear();
+    cols_.clear();
+    rows_ = view.num_rows();
+    uint32_t sel = kDense;
+    if (survivors != nullptr && survivors->size() != rows_) {
+      sel = 0;
+      rows_ = survivors->size();
+      sels_.push_back(std::move(*survivors));
+    }
+    for (size_t c = 0; c < view.num_columns(); ++c) {
+      cols_.push_back({&view.column(c), sel});
+    }
+  }
+
+  /// Column c: its base when dense, otherwise gathered into `*scratch`.
+  const ColumnVector& Column(size_t c, ColumnVector* scratch) const {
+    const Col& col = cols_[c];
+    if (col.sel == kDense) return *col.base;
+    *scratch = col.base->Gather(sels_[col.sel]);
+    return *scratch;
+  }
+
+  /// The join step: output row k is row `probe_sel[k]` of this chunk
+  /// followed by row `build_sel[k]` of `build`, whose columns are appended
+  /// unread.
+  void Join(const SelectionVector& probe_sel, const DataChunk& build,
+            std::vector<uint32_t> build_sel) {
+    if (!IsIdentity(probe_sel, rows_)) {
+      for (SelectionVector& sel : sels_) {
+        SelectionVector composed(probe_sel.size());
+        for (size_t k = 0; k < probe_sel.size(); ++k) {
+          composed[k] = sel[probe_sel[k]];
+        }
+        sel = std::move(composed);
+      }
+      const uint32_t probe_index = static_cast<uint32_t>(sels_.size());
+      bool any_dense = false;
+      for (Col& col : cols_) {
+        if (col.sel != kDense) continue;
+        col.sel = probe_index;
+        any_dense = true;
+      }
+      if (any_dense) sels_.push_back(probe_sel);
+    }
+    const uint32_t build_index = static_cast<uint32_t>(sels_.size());
+    sels_.push_back(std::move(build_sel));
+    for (size_t c = 0; c < build.num_columns(); ++c) {
+      cols_.push_back({&build.column(c), build_index});
+    }
+    rows_ = probe_sel.size();
+  }
+
+  /// Every column as an owned chunk: gathered, copied when dense, or moved
+  /// out when the chunk already owns it densely. Consumes the chunk.
+  DataChunk Materialize() && {
+    bool owns_all = cols_.size() == owned_.num_columns();
+    for (size_t c = 0; c < cols_.size() && owns_all; ++c) {
+      owns_all = cols_[c].sel == kDense && cols_[c].base == &owned_.column(c);
+    }
+    if (owns_all) return std::move(owned_);
+    DataChunk out;
+    for (const Col& col : cols_) {
+      out.AddColumn(col.sel == kDense ? *col.base
+                                      : col.base->Gather(sels_[col.sel]));
+    }
+    return out;
+  }
+
+ private:
+  static constexpr uint32_t kDense = UINT32_MAX;
+  struct Col {
+    const ColumnVector* base;
+    uint32_t sel;  // index into sels_, or kDense
+  };
+
+  std::vector<Col> cols_;
+  std::vector<SelectionVector> sels_;
+  DataChunk owned_;
+  size_t rows_ = 0;
+};
+
+/// Storage behind the borrowed results of EvaluateLate; must outlive them.
+struct LateScratch {
+  std::vector<ColumnVector> gathered;  // one slot per chunk column
+  std::vector<ColumnVector> computed;  // one slot per expression
+};
+
+/// Evaluate `exprs` over `chunk` (schema `names`), reading only the
+/// columns they reference: each is borrowed when dense and gathered once
+/// otherwise, and a bare column reference comes back as that column
+/// itself (Evaluator::EvaluateRef), never copied. `out[i]` is nullptr
+/// where `exprs[i]` is.
+Status EvaluateLate(const LateChunk& chunk,
+                    const std::vector<std::string>& names,
+                    const std::vector<const Expr*>& exprs,
+                    LateScratch* scratch,
+                    std::vector<const ColumnVector*>* out) {
+  std::vector<std::string> referenced;
+  for (const Expr* e : exprs) {
+    if (e != nullptr) e->CollectColumns(&referenced);
+  }
+  // The sub-schema keeps the chunk's column order, so name resolution
+  // (first match) picks the same column it would on the whole chunk.
+  std::vector<std::string> sub_names;
+  ChunkView view(chunk.num_rows());
+  scratch->gathered.resize(chunk.num_columns());
+  for (size_t c = 0; c < chunk.num_columns() && c < names.size(); ++c) {
+    if (std::find(referenced.begin(), referenced.end(), names[c]) ==
+        referenced.end()) {
+      continue;
+    }
+    sub_names.push_back(names[c]);
+    view.AddColumn(&chunk.Column(c, &scratch->gathered[c]));
+  }
+  Evaluator ev(&sub_names);
+  scratch->computed.resize(exprs.size());
+  out->assign(exprs.size(), nullptr);
+  for (size_t i = 0; i < exprs.size(); ++i) {
+    if (exprs[i] == nullptr) continue;
+    COSTDB_ASSIGN_OR_RETURN(
+        (*out)[i], ev.EvaluateRef(*exprs[i], view, &scratch->computed[i]));
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -315,35 +488,39 @@ struct MorselProcessor {
   /// `names` updated in place). A fused filter→probe morsel enters here
   /// *after* the join it fused through, so it resumes at the next
   /// operator. Returns an error or the transformed chunk (possibly empty).
-  Status Apply(DataChunk* chunk, std::vector<std::string>* names,
+  /// Probes keep the chunk late-materialized; Filter and Project
+  /// materialize it in full.
+  Status Apply(LateChunk* chunk, std::vector<std::string>* names,
                size_t first_op = 0) const {
     for (size_t oi = first_op; oi < pipeline->operators.size(); ++oi) {
       const PhysicalPlan* op = pipeline->operators[oi];
       if (chunk->num_rows() == 0 &&
           op->kind != PhysicalPlan::Kind::kHashJoin) {
         *names = op->output_names;
-        DataChunk empty(op->output_types);
-        *chunk = std::move(empty);
+        chunk->Own(DataChunk(op->output_types));
         continue;
       }
       switch (op->kind) {
         case PhysicalPlan::Kind::kFilter: {
+          DataChunk in = std::move(*chunk).Materialize();
           Evaluator ev(names);
           SelectionVector sel;
           COSTDB_ASSIGN_OR_RETURN(sel,
-                                  ev.EvaluateSelection(*op->predicate, *chunk));
-          chunk->Slice(sel);
+                                  ev.EvaluateSelection(*op->predicate, in));
+          in.Slice(sel);
+          chunk->Own(std::move(in));
           break;
         }
         case PhysicalPlan::Kind::kProject: {
+          const DataChunk in = std::move(*chunk).Materialize();
           Evaluator ev(names);
           DataChunk out;
           for (const auto& p : op->projections) {
             ColumnVector v;
-            COSTDB_ASSIGN_OR_RETURN(v, ev.Evaluate(*p, *chunk));
+            COSTDB_ASSIGN_OR_RETURN(v, ev.Evaluate(*p, in));
             out.AddColumn(std::move(v));
           }
-          *chunk = std::move(out);
+          chunk->Own(std::move(out));
           *names = op->output_names;
           break;
         }
@@ -362,77 +539,29 @@ struct MorselProcessor {
     return Status::OK();
   }
 
-  /// Vectorized probe: hash every probe row column-at-a-time, collect the
-  /// matching (probe, build) row pairs, then gather output columns in bulk.
-  Status Probe(const PhysicalPlan* join, DataChunk* chunk,
+  /// Vectorized probe: read only the key columns, hash them column-at-a-
+  /// time, collect the matching (probe, build) row pairs, and compose them
+  /// into the chunk's selections — no payload column is gathered here.
+  Status Probe(const PhysicalPlan* join, LateChunk* chunk,
                std::vector<std::string>* names) const {
     auto it = breakers->find(join);
     if (it == breakers->end()) {
       return Status::Internal("probe before build");
     }
     const LocalEngine::BreakerState& bs = it->second;
-    Evaluator ev(names);
-    std::vector<ColumnVector> probe_keys;
-    for (const auto& k : join->probe_keys) {
-      ColumnVector v;
-      COSTDB_ASSIGN_OR_RETURN(v, ev.Evaluate(*k, *chunk));
-      probe_keys.push_back(std::move(v));
-    }
+    std::vector<const Expr*> key_exprs;
+    for (const auto& k : join->probe_keys) key_exprs.push_back(k.get());
+    LateScratch scratch;
+    std::vector<const ColumnVector*> keys;
+    COSTDB_RETURN_NOT_OK(
+        EvaluateLate(*chunk, *names, key_exprs, &scratch, &keys));
+    ChunkView key_view;
+    for (const ColumnVector* k : keys) key_view.AddColumn(k);
     SelectionVector probe_sel;
     std::vector<uint32_t> build_sel;
-    bs.build_table.Match(probe_keys, chunk->num_rows(), &probe_sel,
-                         &build_sel);
-    DataChunk out(join->output_types);
-    const size_t probe_cols = chunk->num_columns();
-    for (size_t c = 0; c < probe_cols; ++c) {
-      out.column(c) = chunk->column(c).Gather(probe_sel);
-    }
-    for (size_t c = 0; c < bs.build_data.num_columns(); ++c) {
-      out.column(probe_cols + c) = bs.build_data.column(c).Gather(build_sel);
-    }
-    *chunk = std::move(out);
+    bs.build_table.Match(key_view, chunk->num_rows(), &probe_sel, &build_sel);
+    chunk->Join(probe_sel, bs.build_data, std::move(build_sel));
     *names = join->output_names;
-    return Status::OK();
-  }
-
-  /// Fused filter→hash-probe: probe straight off the scan's borrowed
-  /// row-group columns. `sel` holds the filter survivors (absolute view
-  /// rows); only the key columns of survivors are gathered before hashing,
-  /// and output columns are gathered once, for *matching* rows only — the
-  /// interpreted path's full filtered-chunk materialization never happens.
-  /// Hashing, NULL-key rejection, and match order are shared with Probe
-  /// (one JoinHashTable::Match walk), so output is bit-identical.
-  Status FusedProbe(const PhysicalPlan* join, const ChunkView& view,
-                    const SelectionVector& sel,
-                    const std::vector<uint32_t>& key_cols,
-                    DataChunk* out_chunk) const {
-    auto it = breakers->find(join);
-    if (it == breakers->end()) {
-      return Status::Internal("probe before build");
-    }
-    const LocalEngine::BreakerState& bs = it->second;
-    std::vector<ColumnVector> probe_keys;
-    probe_keys.reserve(key_cols.size());
-    for (uint32_t c : key_cols) {
-      probe_keys.push_back(view.column(c).Gather(sel));
-    }
-    SelectionVector probe_sel;  // indices into the survivor domain
-    std::vector<uint32_t> build_sel;
-    bs.build_table.Match(probe_keys, sel.size(), &probe_sel, &build_sel);
-    // Translate survivor-domain matches back to absolute view rows.
-    SelectionVector abs_sel(probe_sel.size());
-    for (size_t k = 0; k < probe_sel.size(); ++k) {
-      abs_sel[k] = sel[probe_sel[k]];
-    }
-    DataChunk out(join->output_types);
-    const size_t probe_cols = view.num_columns();
-    for (size_t c = 0; c < probe_cols; ++c) {
-      out.column(c) = view.column(c).Gather(abs_sel);
-    }
-    for (size_t c = 0; c < bs.build_data.num_columns(); ++c) {
-      out.column(probe_cols + c) = bs.build_data.column(c).Gather(build_sel);
-    }
-    *out_chunk = std::move(out);
     return Status::OK();
   }
 };
@@ -547,14 +676,6 @@ Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
   }
   const bool fused_filter_bound =
       combined_scan_filter == nullptr || fused_pred.has_value();
-  // Columns to gather for a plain fused select+gather scan: all of them.
-  std::vector<size_t> fused_gather_cols;
-  if (fused_pred.has_value()) {
-    fused_gather_cols.resize(src->scan_column_indices.size());
-    for (size_t i = 0; i < fused_gather_cols.size(); ++i) {
-      fused_gather_cols[i] = i;
-    }
-  }
   // Fused filter→aggregate: global-agg sink fed by the scan through
   // exchanges only, every aggregate input a bare scan column.
   std::vector<FusedAggSpec> fused_agg_specs;
@@ -573,28 +694,19 @@ Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
   // the annotated join and its probe keys are bare scan columns.
   const PhysicalPlan* fused_join = nullptr;
   size_t fused_join_index = 0;
-  std::vector<uint32_t> fused_probe_key_cols;
   if (!pipeline.source_is_breaker && !fused_agg && fused_filter_bound) {
     for (size_t i = 0; i < pipeline.operators.size(); ++i) {
       const PhysicalPlan* op = pipeline.operators[i];
       if (op->kind == PhysicalPlan::Kind::kExchange) continue;
       if (op->kind == PhysicalPlan::Kind::kHashJoin && op->fuse_probe) {
-        std::vector<uint32_t> cols;
-        bool ok = true;
+        bool ok = !op->probe_keys.empty();
         for (const auto& k : op->probe_keys) {
-          const size_t idx = k->kind == Expr::Kind::kColumn
-                                 ? src->FindColumn(k->column)
-                                 : static_cast<size_t>(-1);
-          if (idx == static_cast<size_t>(-1)) {
-            ok = false;
-            break;
-          }
-          cols.push_back(static_cast<uint32_t>(idx));
+          ok = ok && k->kind == Expr::Kind::kColumn &&
+               src->FindColumn(k->column) != static_cast<size_t>(-1);
         }
-        if (ok && !cols.empty()) {
+        if (ok) {
           fused_join = op;
           fused_join_index = i;
-          fused_probe_key_cols = std::move(cols);
         }
       }
       break;  // only the operator adjacent to the scan can fuse with it
@@ -633,16 +745,17 @@ Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
 
   auto process_inner = [&](size_t slot) {
     const Morsel& m = morsels[slot];
-    // Assemble the source chunk.
-    DataChunk chunk;
+    // Pin the group's payload for the duration of the morsel: resident
+    // groups borrow in place, cold groups come through the block cache
+    // (or one object-store GET) — the engine itself never sees the
+    // storage tier, only this Table-level pin. The chunk below borrows the
+    // pinned columns until the sink has consumed it, so the pin outlives
+    // every operator of the pipeline.
+    Table::RowGroupPin pin;
+    LateChunk chunk;
     std::vector<std::string> names = source_names;
     size_t first_op = 0;  // fused probes resume Apply after their join
     if (m.row_group != nullptr) {
-      // Pin the group's payload for the duration of the morsel: resident
-      // groups borrow in place, cold groups come through the block cache
-      // (or one object-store GET) — the engine itself never sees the
-      // storage tier, only this Table-level pin.
-      Table::RowGroupPin pin;
       {
         auto pinned = src->table->PinRowGroup(m.group_index,
                                               &slot_blocks[slot]);
@@ -700,20 +813,17 @@ Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
       }
 
       if (!scan_done && !pred_bind_failed && fused_join != nullptr) {
-        // Fused filter→hash-probe pipeline.
+        // Fused filter→hash-probe: one fused pass selects the survivors,
+        // and the shared Probe runs on the borrowed columns read through
+        // that selection (the keys borrowed outright when every row
+        // survives).
         SelectionVector sel;
         Status fst;
         auto t0 = std::chrono::steady_clock::now();
-        if (fused_pred.has_value()) {
-          fst = fused_pred->Select(view, &sel);
-        } else {
-          sel.resize(view_rows);
-          for (uint32_t i = 0; i < view_rows; ++i) sel[i] = i;
-        }
+        if (fused_pred.has_value()) fst = fused_pred->Select(view, &sel);
         if (fst.ok()) {
-          DataChunk out;
-          Status pst = processor.FusedProbe(fused_join, view, sel,
-                                            fused_probe_key_cols, &out);
+          chunk.Borrow(view, fused_pred.has_value() ? &sel : nullptr);
+          Status pst = processor.Probe(fused_join, &chunk, &names);
           fstats.fused_seconds += fused_elapsed(t0);
           if (!pst.ok()) {
             slot_status[slot] = pst;  // real error (e.g. probe before build)
@@ -721,8 +831,6 @@ Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
           }
           ++fstats.fused_probe_morsels;
           fstats.fused_rows += view_rows;
-          chunk = std::move(out);
-          names = fused_join->output_names;
           first_op = fused_join_index + 1;
           scan_done = true;
         } else {
@@ -732,18 +840,16 @@ Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
       }
 
       if (!scan_done && !pred_bind_failed && fused_pred.has_value()) {
-        // Fused select+gather: one pass decides survivors, one gather
-        // materializes them — no per-conjunct selection vectors.
-        DataChunk projected;
+        // Fused select: one pass decides survivors — no per-conjunct
+        // selection vectors — and the chunk borrows the columns through it.
         SelectionVector sel;
         auto t0 = std::chrono::steady_clock::now();
-        Status fst =
-            fused_pred->SelectGather(view, fused_gather_cols, &projected, &sel);
+        Status fst = fused_pred->Select(view, &sel);
         if (fst.ok()) {
           fstats.fused_seconds += fused_elapsed(t0);
           ++fstats.fused_filter_morsels;
           fstats.fused_rows += view_rows;
-          chunk = std::move(projected);
+          chunk.Borrow(view, &sel);
           scan_done = true;
         } else {
           ++fstats.fallback_morsels;
@@ -756,31 +862,23 @@ Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
 
       if (!scan_done) {
         if (combined_scan_filter != nullptr) {
-          // Filter before materializing: the predicate runs on borrowed
-          // row-group columns, and only surviving rows are ever copied.
+          // The predicate runs on borrowed row-group columns, and the
+          // chunk borrows them through its selection.
           Evaluator ev(&names);
           auto sel = ev.EvaluateSelection(*combined_scan_filter, view);
           if (!sel.ok()) {
             slot_status[slot] = sel.status();
             return;
           }
-          DataChunk projected;
-          for (size_t idx : src->scan_column_indices) {
-            projected.AddColumn(group_data.column(idx).Gather(*sel));
-          }
-          chunk = std::move(projected);
+          chunk.Borrow(view, &*sel);
         } else {
-          DataChunk projected;
-          for (size_t idx : src->scan_column_indices) {
-            projected.AddColumn(group_data.column(idx));
-          }
-          chunk = std::move(projected);
+          chunk.Borrow(view, nullptr);
         }
       }
     } else {
       DataChunk sliced(m.source_chunk->Types());
       sliced.AppendRange(*m.source_chunk, m.begin, m.end);
-      chunk = std::move(sliced);
+      chunk.Own(std::move(sliced));
     }
     Status st = processor.Apply(&chunk, &names, first_op);
     if (!st.ok()) {
@@ -788,42 +886,40 @@ Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
       return;
     }
     if (agg_sink) {
-      // Fold this chunk into the slot-local partial aggregation.
-      Evaluator ev(&names);
-      std::vector<ColumnVector> group_vecs;
-      for (const auto& g : sink->group_by) {
-        auto v = ev.Evaluate(*g, chunk);
-        if (!v.ok()) {
-          slot_status[slot] = v.status();
-          return;
-        }
-        group_vecs.push_back(std::move(*v));
-      }
-      std::vector<ColumnVector> agg_inputs;
+      // Fold this chunk into the slot-local partial aggregation, reading
+      // only the columns the GROUP BY and aggregate inputs reference.
+      std::vector<const Expr*> exprs;
+      for (const auto& g : sink->group_by) exprs.push_back(g.get());
       for (const auto& a : sink->aggregates) {
-        if (a->children.empty()) {
-          agg_inputs.emplace_back();  // COUNT(*) has no input
-          continue;
-        }
-        auto v = ev.Evaluate(*a->children[0], chunk);
-        if (!v.ok()) {
-          slot_status[slot] = v.status();
-          return;
-        }
-        agg_inputs.push_back(std::move(*v));
+        // COUNT(*) has no input.
+        exprs.push_back(a->children.empty() ? nullptr : a->children[0].get());
       }
-      if (chunk.num_rows() == 0) return;
-      if (sink->group_by.empty()) {
-        slot_status[slot] = FoldChunkIntoGlobal(sink, agg_inputs,
-                                                chunk.num_rows(),
-                                                &slot_aggs[slot]);
+      LateScratch scratch;
+      std::vector<const ColumnVector*> inputs;
+      st = EvaluateLate(chunk, names, exprs, &scratch, &inputs);
+      if (!st.ok()) {
+        slot_status[slot] = st;
+        return;
+      }
+      const size_t rows = chunk.num_rows();
+      if (rows == 0) return;
+      const size_t num_groups = sink->group_by.size();
+      const std::vector<const ColumnVector*> agg_inputs(
+          inputs.begin() + num_groups, inputs.end());
+      if (num_groups == 0) {
+        slot_status[slot] =
+            FoldChunkIntoGlobal(sink, agg_inputs, rows, &slot_aggs[slot]);
       } else {
-        slot_status[slot] = FoldChunkIntoGroups(
-            sink, group_vecs, agg_inputs, chunk.num_rows(), &slot_aggs[slot]);
+        ChunkView group_keys;
+        for (size_t g = 0; g < num_groups; ++g) {
+          group_keys.AddColumn(inputs[g]);
+        }
+        slot_status[slot] = FoldChunkIntoGroups(sink, group_keys, agg_inputs,
+                                                rows, &slot_aggs[slot]);
       }
       return;  // nothing materialized per slot
     }
-    slot_outputs[slot] = std::move(chunk);
+    slot_outputs[slot] = std::move(chunk).Materialize();
   };
 
   auto process_one = [&](size_t slot) {

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "catalog/hll.h"
+#include "common/hash.h"
 
 namespace costdb {
 
@@ -246,6 +246,17 @@ Result<ColumnVector> ToBoolMask(ColumnVector v) {
 
 // ----------------------------------------------------------- mask path
 
+Result<const ColumnVector*> Evaluator::EvaluateRef(
+    const Expr& expr, const ChunkView& chunk, ColumnVector* scratch) const {
+  if (expr.kind == Expr::Kind::kColumn) {
+    size_t idx = 0;
+    COSTDB_ASSIGN_OR_RETURN(idx, ResolveColumn(expr.column));
+    return &chunk.column(idx);
+  }
+  COSTDB_ASSIGN_OR_RETURN(*scratch, Evaluate(expr, chunk));
+  return scratch;
+}
+
 Result<ColumnVector> Evaluator::Evaluate(const Expr& expr,
                                          const ChunkView& chunk) const {
   const size_t n = chunk.num_rows();
@@ -262,9 +273,16 @@ Result<ColumnVector> Evaluator::Evaluate(const Expr& expr,
       return out;
     }
     case Expr::Kind::kCompare: {
-      ColumnVector l, r;
-      COSTDB_ASSIGN_OR_RETURN(l, Evaluate(*expr.children[0], chunk));
-      COSTDB_ASSIGN_OR_RETURN(r, Evaluate(*expr.children[1], chunk));
+      // Operands are only read: bare columns are borrowed, not copied.
+      ColumnVector l_scratch, r_scratch;
+      const ColumnVector* lp = nullptr;
+      const ColumnVector* rp = nullptr;
+      COSTDB_ASSIGN_OR_RETURN(
+          lp, EvaluateRef(*expr.children[0], chunk, &l_scratch));
+      COSTDB_ASSIGN_OR_RETURN(
+          rp, EvaluateRef(*expr.children[1], chunk, &r_scratch));
+      const ColumnVector& l = *lp;
+      const ColumnVector& r = *rp;
       ColumnVector out(LogicalType::kBool);
       out.Reserve(n);
       const bool strings = l.physical_type() == PhysicalType::kString;
@@ -350,9 +368,16 @@ Result<ColumnVector> Evaluator::Evaluate(const Expr& expr,
       return v;  // NOT(NULL) stays NULL: validity unchanged
     }
     case Expr::Kind::kArith: {
-      ColumnVector l, r;
-      COSTDB_ASSIGN_OR_RETURN(l, Evaluate(*expr.children[0], chunk));
-      COSTDB_ASSIGN_OR_RETURN(r, Evaluate(*expr.children[1], chunk));
+      // Operands are only read: bare columns are borrowed, not copied.
+      ColumnVector l_scratch, r_scratch;
+      const ColumnVector* lp = nullptr;
+      const ColumnVector* rp = nullptr;
+      COSTDB_ASSIGN_OR_RETURN(
+          lp, EvaluateRef(*expr.children[0], chunk, &l_scratch));
+      COSTDB_ASSIGN_OR_RETURN(
+          rp, EvaluateRef(*expr.children[1], chunk, &r_scratch));
+      const ColumnVector& l = *lp;
+      const ColumnVector& r = *rp;
       if (expr.type == LogicalType::kInt64 && BothInts(l, r) &&
           expr.arith_op != '/') {
         ColumnVector out(LogicalType::kInt64);
@@ -396,8 +421,11 @@ Result<ColumnVector> Evaluator::Evaluate(const Expr& expr,
       return out;
     }
     case Expr::Kind::kLike: {
-      ColumnVector input;
-      COSTDB_ASSIGN_OR_RETURN(input, Evaluate(*expr.children[0], chunk));
+      ColumnVector scratch;
+      const ColumnVector* in = nullptr;
+      COSTDB_ASSIGN_OR_RETURN(in,
+                              EvaluateRef(*expr.children[0], chunk, &scratch));
+      const ColumnVector& input = *in;
       const LikePattern pattern(expr.children[1]->constant.AsString(),
                                 expr.like_escape);
       ColumnVector out(LogicalType::kBool);
@@ -762,13 +790,12 @@ namespace kernels {
 /// with the probe/build NULL guards (NULL joins nothing).
 constexpr uint64_t kNullKeyHash = 0x7f4a7c159e3779b9ULL;
 
-void HashRows(const std::vector<ColumnVector>& keys,
-              const std::vector<bool>& as_double, size_t rows,
-              std::vector<uint64_t>* out) {
+void HashRows(const ChunkView& keys, const std::vector<bool>& as_double,
+              size_t rows, std::vector<uint64_t>* out) {
   const size_t n = rows;
   out->assign(n, 0x9e3779b97f4a7c15ULL);
-  for (size_t k = 0; k < keys.size(); ++k) {
-    const ColumnVector& key = keys[k];
+  for (size_t k = 0; k < keys.num_columns(); ++k) {
+    const ColumnVector& key = keys.column(k);
     const std::vector<uint8_t>* valid =
         key.has_nulls() ? &key.validity() : nullptr;
     auto& h = *out;
@@ -835,9 +862,9 @@ void HashRows(const std::vector<ColumnVector>& keys,
   }
 }
 
-bool AnyKeyNull(const std::vector<ColumnVector>& keys, size_t row) {
-  for (const auto& k : keys) {
-    if (k.IsNull(row)) return true;
+bool AnyKeyNull(const ChunkView& keys, size_t row) {
+  for (size_t k = 0; k < keys.num_columns(); ++k) {
+    if (keys.column(k).IsNull(row)) return true;
   }
   return false;
 }

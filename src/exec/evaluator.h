@@ -47,6 +47,14 @@ class Evaluator {
   /// validity mask when any input row was NULL.
   Result<ColumnVector> Evaluate(const Expr& expr, const ChunkView& chunk) const;
 
+  /// Evaluate without copying a bare column reference: the result is the
+  /// view's own column when `expr` is one, and otherwise `*scratch`, which
+  /// receives Evaluate's result. The pointer lives as long as the borrowed
+  /// column or `scratch`, whichever it is.
+  Result<const ColumnVector*> EvaluateRef(const Expr& expr,
+                                          const ChunkView& chunk,
+                                          ColumnVector* scratch) const;
+
   /// Evaluate a boolean predicate and return the selected row indices, in
   /// ascending order. This is the vectorized filter entry point: compare
   /// nodes dispatch to typed select kernels, AND narrows progressively,
@@ -120,14 +128,13 @@ namespace kernels {
 /// join key cannot collide with a genuine 0 and NULL-key rows always land
 /// on one deterministic shuffle bucket. NULL *matching* semantics live in
 /// the probe/build guards (AnyKeyNull): a NULL key matches nothing.
-void HashRows(const std::vector<ColumnVector>& keys,
-              const std::vector<bool>& as_double, size_t rows,
-              std::vector<uint64_t>* out);
+void HashRows(const ChunkView& keys, const std::vector<bool>& as_double,
+              size_t rows, std::vector<uint64_t>* out);
 
 /// True when any key column is NULL at `row` — the SQL three-valued-logic
 /// guard of the hash join: such a row joins nothing, so the build skips
 /// indexing it and the probe skips looking it up.
-bool AnyKeyNull(const std::vector<ColumnVector>& keys, size_t row);
+bool AnyKeyNull(const ChunkView& keys, size_t row);
 
 /// Fold non-null rows of a *numeric* `v` into running count / integer sum
 /// / double sum (ints accumulate into both sums, mirroring SUM/AVG result

@@ -12,25 +12,26 @@ size_t NextPowerOfTwo(size_t n) {
   return p;
 }
 
-bool JoinKeysEqual(const std::vector<ColumnVector>& a, size_t ra,
+bool JoinKeysEqual(const ChunkView& a, size_t ra,
                    const std::vector<ColumnVector>& b, size_t rb) {
-  for (size_t k = 0; k < a.size(); ++k) {
-    if (a[k].IsNull(ra) || b[k].IsNull(rb)) return false;  // NULL joins nothing
-    const PhysicalType ta = a[k].physical_type();
+  for (size_t k = 0; k < a.num_columns(); ++k) {
+    const ColumnVector& ak = a.column(k);
+    if (ak.IsNull(ra) || b[k].IsNull(rb)) return false;  // NULL joins nothing
+    const PhysicalType ta = ak.physical_type();
     const PhysicalType tb = b[k].physical_type();
     if (ta == PhysicalType::kString || tb == PhysicalType::kString) {
-      if (ta != tb || a[k].GetString(ra) != b[k].GetString(rb)) return false;
+      if (ta != tb || ak.GetString(ra) != b[k].GetString(rb)) return false;
       continue;
     }
     if (ta == PhysicalType::kInt64 && tb == PhysicalType::kInt64) {
-      if (a[k].GetInt(ra) != b[k].GetInt(rb)) return false;
+      if (ak.GetInt(ra) != b[k].GetInt(rb)) return false;
       continue;
     }
     auto num = [](const ColumnVector& v, PhysicalType t, size_t i) {
       return t == PhysicalType::kDouble ? v.GetDouble(i)
                                         : static_cast<double>(v.GetInt(i));
     };
-    if (num(a[k], ta, ra) != num(b[k], tb, rb)) return false;
+    if (num(ak, ta, ra) != num(b[k], tb, rb)) return false;
   }
   return true;
 }
@@ -68,22 +69,23 @@ void JoinHashTable::Build(std::vector<ColumnVector> keys,
   as_double_ = std::move(as_double);
   heads_.assign(NextPowerOfTwo(num_buckets == 0 ? rows : num_buckets), kEnd);
   mask_ = heads_.size() - 1;
+  const ChunkView key_view(keys_);
   std::vector<uint64_t> hashes;
-  kernels::HashRows(keys_, as_double_, rows, &hashes);
+  kernels::HashRows(key_view, as_double_, rows, &hashes);
   links_.resize(rows);
   for (uint32_t r = 0; r < rows; ++r) {
     links_[r] = Link{hashes[r], kEnd};
     // A NULL build key can never be matched; indexing it would only
     // lengthen the shared NULL-tag chain every probe miss walks.
-    if (kernels::AnyKeyNull(keys_, r)) continue;
+    if (kernels::AnyKeyNull(key_view, r)) continue;
     uint32_t& head = heads_[hashes[r] & mask_];
     links_[r].next = head;
     head = r;
   }
 }
 
-void JoinHashTable::Match(const std::vector<ColumnVector>& probe_keys,
-                          size_t rows, SelectionVector* probe_sel,
+void JoinHashTable::Match(const ChunkView& probe_keys, size_t rows,
+                          SelectionVector* probe_sel,
                           std::vector<uint32_t>* build_sel) const {
   std::vector<uint64_t> hashes;
   kernels::HashRows(probe_keys, as_double_, rows, &hashes);
@@ -94,7 +96,9 @@ void JoinHashTable::Match(const std::vector<ColumnVector>& probe_keys,
     first[r] = heads_[hashes[r] & mask_];
   }
   bool any_nulls = false;
-  for (const auto& k : probe_keys) any_nulls = any_nulls || k.has_nulls();
+  for (size_t k = 0; k < probe_keys.num_columns(); ++k) {
+    any_nulls = any_nulls || probe_keys.column(k).has_nulls();
+  }
   if (any_nulls) {
     // SQL three-valued logic: a NULL probe key matches nothing. Skip
     // before the walk — NULL keys share one hash tag, so walking would
@@ -117,11 +121,11 @@ void JoinHashTable::Match(const std::vector<ColumnVector>& probe_keys,
   };
   if (keys_.size() == 1 && !as_double_[0] &&
       keys_[0].physical_type() == PhysicalType::kInt64 &&
-      probe_keys[0].physical_type() == PhysicalType::kInt64) {
+      probe_keys.column(0).physical_type() == PhysicalType::kInt64) {
     // One int64 key on both sides (the common star-join shape): an inlined
     // payload compare. NULL rows never reach it — unindexed on the build
     // side, chain-less on the probe side.
-    const int64_t* probe = probe_keys[0].ints().data();
+    const int64_t* probe = probe_keys.column(0).ints().data();
     const int64_t* build = keys_[0].ints().data();
     walk([&](uint32_t r, uint32_t b) { return probe[r] == build[b]; });
   } else {
@@ -131,18 +135,18 @@ void JoinHashTable::Match(const std::vector<ColumnVector>& probe_keys,
   }
 }
 
-GroupTable::GroupTable(const std::vector<ColumnVector>& like)
-    : slots_(kInitialSlots, kEmpty) {
-  keys_.reserve(like.size());
-  for (const auto& v : like) keys_.emplace_back(v.type());
+GroupTable::GroupTable(const ChunkView& like) : slots_(kInitialSlots, kEmpty) {
+  keys_.reserve(like.num_columns());
+  for (size_t k = 0; k < like.num_columns(); ++k) {
+    keys_.emplace_back(like.column(k).type());
+  }
 }
 
-void GroupTable::FindOrInsert(const std::vector<ColumnVector>& cols,
-                              size_t rows,
+void GroupTable::FindOrInsert(const ChunkView& cols, size_t rows,
                               std::vector<uint32_t>* group_of_row) {
+  const size_t num_keys = cols.num_columns();
   std::vector<uint64_t> hashes;
-  kernels::HashRows(cols, std::vector<bool>(cols.size(), false), rows,
-                    &hashes);
+  kernels::HashRows(cols, std::vector<bool>(num_keys, false), rows, &hashes);
   group_of_row->resize(rows);
   for (size_t r = 0; r < rows; ++r) {
     const uint64_t h = hashes[r];
@@ -154,15 +158,17 @@ void GroupTable::FindOrInsert(const std::vector<ColumnVector>& cols,
       if (g == kEmpty) break;
       if (hashes_[g] != h) continue;
       bool same = true;
-      for (size_t k = 0; k < cols.size() && same; ++k) {
-        same = SameGroupKey(cols[k], r, keys_[k], g);
+      for (size_t k = 0; k < num_keys && same; ++k) {
+        same = SameGroupKey(cols.column(k), r, keys_[k], g);
       }
       if (same) break;
     }
     if (g == kEmpty) {
       g = static_cast<uint32_t>(hashes_.size());
       hashes_.push_back(h);
-      for (size_t k = 0; k < cols.size(); ++k) keys_[k].AppendFrom(cols[k], r);
+      for (size_t k = 0; k < num_keys; ++k) {
+        keys_[k].AppendFrom(cols.column(k), r);
+      }
       slots_[s] = g;
       if (2 * hashes_.size() > slots_.size()) Grow();  // load <= 1/2
     }

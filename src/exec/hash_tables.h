@@ -34,8 +34,9 @@ class JoinHashTable {
              size_t rows, size_t num_buckets = 0);
 
   /// Append every (probe row, build row) match of the first `rows` rows of
-  /// `probe_keys` to `probe_sel` / `build_sel`, in the contract order.
-  void Match(const std::vector<ColumnVector>& probe_keys, size_t rows,
+  /// `probe_keys` (borrowed key columns) to `probe_sel` / `build_sel`, in
+  /// the contract order.
+  void Match(const ChunkView& probe_keys, size_t rows,
              SelectionVector* probe_sel,
              std::vector<uint32_t>* build_sel) const;
 
@@ -70,11 +71,11 @@ class GroupTable {
   static constexpr size_t kInitialSlots = 64;
 
   /// An empty table whose key columns take the types of `like`.
-  explicit GroupTable(const std::vector<ColumnVector>& like);
+  explicit GroupTable(const ChunkView& like);
 
-  /// Group id of each of the first `rows` rows of `cols` (same column
-  /// types as the table), creating groups in first-seen order.
-  void FindOrInsert(const std::vector<ColumnVector>& cols, size_t rows,
+  /// Group id of each of the first `rows` rows of `cols` (borrowed key
+  /// columns of the table's types), creating groups in first-seen order.
+  void FindOrInsert(const ChunkView& cols, size_t rows,
                     std::vector<uint32_t>* group_of_row);
 
   size_t size() const { return hashes_.size(); }

@@ -108,7 +108,7 @@ struct PhysicalPlan {
   // the vectorized path at runtime if the shape fails to bind. Plain bools
   // so BindPlanParams / CloneForWorker copy-construction carries them to
   // cached prepared plans and sharded workers unchanged.
-  /// kTableScan: run scan_filters as one fused single-pass select+gather.
+  /// kTableScan: run scan_filters as one fused single-pass select.
   bool fuse_scan_filter = false;
   /// kHashJoin: probe straight off the scan's borrowed columns (fused
   /// filter→hash-probe pipeline; no intermediate filtered chunk).

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <map>
 
-#include "catalog/hll.h"
+#include "common/hash.h"
 
 namespace costdb {
 

@@ -91,24 +91,35 @@ Value ColumnVector::GetValue(size_t i) const {
   return Value::Null();
 }
 
+namespace {
+
+/// dst[k] = src[sel[k]] into a fresh vector: indexed stores, no per-row
+/// capacity check.
+template <typename T>
+std::vector<T> GatherFlat(const std::vector<T>& src,
+                          const std::vector<uint32_t>& sel) {
+  std::vector<T> dst(sel.size());
+  for (size_t k = 0; k < sel.size(); ++k) dst[k] = src[sel[k]];
+  return dst;
+}
+
+}  // namespace
+
 ColumnVector ColumnVector::Gather(const std::vector<uint32_t>& sel) const {
   ColumnVector out(type_);
-  out.Reserve(sel.size());
   switch (physical_type()) {
     case PhysicalType::kInt64:
-      for (uint32_t i : sel) out.ints_.push_back(ints_[i]);
+      out.ints_ = GatherFlat(ints_, sel);
       break;
     case PhysicalType::kDouble:
-      for (uint32_t i : sel) out.doubles_.push_back(doubles_[i]);
+      out.doubles_ = GatherFlat(doubles_, sel);
       break;
     case PhysicalType::kString:
+      out.strings_.reserve(sel.size());
       for (uint32_t i : sel) out.strings_.push_back(strings_[i]);
       break;
   }
-  if (!valid_.empty()) {
-    out.valid_.reserve(sel.size());
-    for (uint32_t i : sel) out.valid_.push_back(valid_[i]);
-  }
+  if (!valid_.empty()) out.valid_ = GatherFlat(valid_, sel);
   return out;
 }
 

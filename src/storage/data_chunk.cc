@@ -10,6 +10,12 @@ ChunkView::ChunkView(const DataChunk& chunk) {
   rows_ = chunk.num_rows();
 }
 
+ChunkView::ChunkView(const std::vector<ColumnVector>& columns) {
+  columns_.reserve(columns.size());
+  for (const auto& c : columns) columns_.push_back(&c);
+  rows_ = columns.empty() ? 0 : columns[0].size();
+}
+
 void ChunkView::AddColumn(const ColumnVector* column) {
   columns_.push_back(column);
   rows_ = column->size();

@@ -17,6 +17,10 @@ class ChunkView {
  public:
   ChunkView() = default;
   ChunkView(const DataChunk& chunk);  // NOLINT: implicit borrow intended
+  ChunkView(const std::vector<ColumnVector>& columns);  // NOLINT: same
+  /// A view of `num_rows` rows and no columns yet — what a constant-only
+  /// expression evaluates over.
+  explicit ChunkView(size_t num_rows) : rows_(num_rows) {}
 
   /// Borrow an already-materialized column. All columns must have the same
   /// row count.

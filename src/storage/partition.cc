@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "catalog/hll.h"
+#include "common/hash.h"
 
 namespace costdb {
 

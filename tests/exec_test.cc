@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <map>
 
+#include "cloud/object_store.h"
+#include "cloud/pricing.h"
 #include "common/rng.h"
 #include "exec/engine.h"
 #include "exec/evaluator.h"
 #include "optimizer/optimizer.h"
+#include "storage/cache.h"
+#include "storage/persistent.h"
 
 namespace costdb {
 namespace {
@@ -458,6 +464,600 @@ TEST_F(HashTableExecTest, JoinMatchesNestedLoopNewestBuildRowFirst) {
       }
     }
   }
+}
+
+// ------------------------------------------------- late materialization
+
+/// Hand-built plans over a small star schema, each checked row for row —
+/// order included — against a row-at-a-time reference executor at 1, 2
+/// and 4 engine threads. The plans are built by hand so their shapes are
+/// known: which side of each join builds, where a Filter or Project sits
+/// between joins, which probe keys are expressions, what is fused.
+///
+/// f (the probe side, row groups of 64): id, fk1, fk2, fk3, v, s — NULLs
+/// in every foreign key and payload column. d1 (k, a, name), d2 (k, b) and
+/// d3 (k, c) have duplicate keys (several matches per probe row), a NULL
+/// key, and NULL payloads.
+class LateMaterializationTest : public ::testing::Test {
+ protected:
+  using Row = std::vector<Value>;
+
+  void SetUp() override {
+    f_ = MakeFact("f");
+    d1_ = std::make_shared<Table>(
+        "d1", std::vector<ColumnDef>{{"k", LogicalType::kInt64},
+                                     {"a", LogicalType::kInt64},
+                                     {"name", LogicalType::kVarchar}});
+    DataChunk c1({LogicalType::kInt64, LogicalType::kInt64,
+                  LogicalType::kVarchar});
+    for (int64_t r = 0; r < 14; ++r) {
+      c1.AppendRow({Value(r % 10),
+                    r % 4 == 1 ? Value::Null() : Value(r * 3),
+                    r % 5 == 2 ? Value::Null()
+                               : Value("n" + std::to_string(r))});
+    }
+    c1.AppendRow({Value::Null(), Value(int64_t{99}), Value(std::string("nk"))});
+    d1_->Append(c1);
+    d2_ = MakeDim("d2", LogicalType::kInt64, 10, 9, 4);
+    d3_ = MakeDim("d3", LogicalType::kVarchar, 5, 5, 3);
+  }
+
+  /// The fact table, `row_group` rows per group.
+  static std::shared_ptr<Table> MakeFact(const std::string& name,
+                                         size_t row_group = 64) {
+    auto t = std::make_shared<Table>(
+        name, std::vector<ColumnDef>{{"id", LogicalType::kInt64},
+                                     {"fk1", LogicalType::kInt64},
+                                     {"fk2", LogicalType::kInt64},
+                                     {"fk3", LogicalType::kInt64},
+                                     {"v", LogicalType::kInt64},
+                                     {"s", LogicalType::kVarchar}},
+        row_group);
+    DataChunk c({LogicalType::kInt64, LogicalType::kInt64,
+                 LogicalType::kInt64, LogicalType::kInt64,
+                 LogicalType::kInt64, LogicalType::kVarchar});
+    auto maybe_null = [](int64_t id, int64_t every, Value v) {
+      return id % every == every - 1 ? Value::Null() : v;
+    };
+    for (int64_t id = 0; id < 600; ++id) {
+      c.AppendRow({Value(id), maybe_null(id, 37, Value(id * 7 % 11)),
+                   maybe_null(id, 53, Value(id * 3 % 9)),
+                   maybe_null(id, 41, Value(id % 6)),
+                   maybe_null(id, 13, Value(id % 97)),
+                   maybe_null(id, 19, Value("s" + std::to_string(id % 17)))});
+    }
+    t->Append(c);
+    return t;
+  }
+
+  /// (k, payload) with `rows` rows, k = row % `domain`, and the payload
+  /// NULL on row `null_row`.
+  static std::shared_ptr<Table> MakeDim(const std::string& name,
+                                        LogicalType payload, int64_t rows,
+                                        int64_t domain, int64_t null_row) {
+    auto t = std::make_shared<Table>(
+        name, std::vector<ColumnDef>{{"k", LogicalType::kInt64},
+                                     {"p", payload}});
+    DataChunk c({LogicalType::kInt64, payload});
+    for (int64_t r = 0; r < rows; ++r) {
+      Value p = payload == LogicalType::kVarchar
+                    ? Value(name + "_" + std::to_string(r))
+                    : Value(r * 10);
+      c.AppendRow({Value(r % domain), r == null_row ? Value::Null() : p});
+    }
+    t->Append(c);
+    return t;
+  }
+
+  // ---- plan builders
+
+  static ExprPtr Col(const std::string& name, LogicalType type) {
+    return Expr::MakeColumn(name, type);
+  }
+  static ExprPtr Int(int64_t v) {
+    return Expr::MakeConstant(Value(v), LogicalType::kInt64);
+  }
+
+  static PhysicalPlanPtr Scan(const std::shared_ptr<Table>& t,
+                              std::vector<ExprPtr> filters = {}) {
+    auto p = std::make_shared<PhysicalPlan>();
+    p->kind = PhysicalPlan::Kind::kTableScan;
+    p->table = t;
+    p->alias = t->name();
+    for (size_t c = 0; c < t->columns().size(); ++c) {
+      p->scan_column_indices.push_back(c);
+      p->output_names.push_back(t->name() + "." + t->columns()[c].name);
+      p->output_types.push_back(t->columns()[c].type);
+    }
+    p->scan_filters = std::move(filters);
+    return p;
+  }
+
+  static PhysicalPlanPtr Join(PhysicalPlanPtr probe, PhysicalPlanPtr build,
+                              ExprPtr probe_key, ExprPtr build_key) {
+    auto p = std::make_shared<PhysicalPlan>();
+    p->kind = PhysicalPlan::Kind::kHashJoin;
+    p->output_names = probe->output_names;
+    p->output_types = probe->output_types;
+    p->output_names.insert(p->output_names.end(),
+                           build->output_names.begin(),
+                           build->output_names.end());
+    p->output_types.insert(p->output_types.end(),
+                           build->output_types.begin(),
+                           build->output_types.end());
+    p->probe_keys = {std::move(probe_key)};
+    p->build_keys = {std::move(build_key)};
+    p->children = {std::move(probe), std::move(build)};
+    return p;
+  }
+
+  /// Join on probe column `probe_col` = build column `<build>.k`.
+  static PhysicalPlanPtr JoinOn(PhysicalPlanPtr probe,
+                                const std::shared_ptr<Table>& build,
+                                const std::string& probe_col) {
+    return Join(std::move(probe), Scan(build),
+                Col(probe_col, LogicalType::kInt64),
+                Col(build->name() + ".k", LogicalType::kInt64));
+  }
+
+  static PhysicalPlanPtr Filter(PhysicalPlanPtr child, ExprPtr predicate) {
+    auto p = std::make_shared<PhysicalPlan>();
+    p->kind = PhysicalPlan::Kind::kFilter;
+    p->output_names = child->output_names;
+    p->output_types = child->output_types;
+    p->predicate = std::move(predicate);
+    p->children = {std::move(child)};
+    return p;
+  }
+
+  static PhysicalPlanPtr Project(
+      PhysicalPlanPtr child,
+      std::vector<std::pair<std::string, ExprPtr>> columns) {
+    auto p = std::make_shared<PhysicalPlan>();
+    p->kind = PhysicalPlan::Kind::kProject;
+    for (auto& [name, e] : columns) {
+      p->output_names.push_back(name);
+      p->output_types.push_back(e->type);
+      p->projections.push_back(std::move(e));
+    }
+    p->children = {std::move(child)};
+    return p;
+  }
+
+  static PhysicalPlanPtr Aggregate(PhysicalPlanPtr child,
+                                   std::vector<ExprPtr> group_by,
+                                   std::vector<ExprPtr> aggregates) {
+    auto p = std::make_shared<PhysicalPlan>();
+    p->kind = PhysicalPlan::Kind::kHashAggregate;
+    for (const auto& g : group_by) {
+      p->output_names.push_back("g" + std::to_string(p->output_names.size()));
+      p->output_types.push_back(g->type);
+    }
+    for (const auto& a : aggregates) {
+      p->output_names.push_back("a" + std::to_string(p->output_names.size()));
+      p->output_types.push_back(a->type);
+      p->agg_names.push_back(p->output_names.back());
+    }
+    p->group_by = std::move(group_by);
+    p->aggregates = std::move(aggregates);
+    p->children = {std::move(child)};
+    return p;
+  }
+
+  static PhysicalPlanPtr Limit(PhysicalPlanPtr child, int64_t n) {
+    auto p = std::make_shared<PhysicalPlan>();
+    p->kind = PhysicalPlan::Kind::kLimit;
+    p->output_names = child->output_names;
+    p->output_types = child->output_types;
+    p->limit = n;
+    p->children = {std::move(child)};
+    return p;
+  }
+
+  // ---- row-at-a-time reference executor
+
+  /// Every row of `rows` evaluated with the scalar reference path.
+  static std::vector<Value> EvalRows(const Expr& e, const PhysicalPlan& node,
+                                     const std::vector<Row>& rows) {
+    DataChunk chunk(node.output_types);
+    for (const Row& r : rows) chunk.AppendRow(r);
+    Evaluator ev(&node.output_names);
+    std::vector<Value> out;
+    for (size_t r = 0; r < rows.size(); ++r) {
+      auto v = ev.EvaluateRow(e, chunk, r);
+      EXPECT_TRUE(v.ok()) << v.status().ToString();
+      out.push_back(v.ok() ? *v : Value::Null());
+    }
+    return out;
+  }
+
+  static bool Truthy(const Value& v) {
+    if (v.is_null() || v.is_string()) return false;
+    return v.is_int() ? v.AsInt() != 0 : v.AsDouble() != 0.0;
+  }
+
+  /// Scans visit row groups in order; a join is a nested loop in the
+  /// engine's match-order contract — probe rows ascending, each probe
+  /// row's matches newest build row first, NULL keys matching nothing;
+  /// groups come out in encoded-key order, and a global aggregate over no
+  /// rows is one row of zeros.
+  static std::vector<Row> Reference(const PhysicalPlan& p) {
+    std::vector<Row> out;
+    switch (p.kind) {
+      case PhysicalPlan::Kind::kTableScan: {
+        auto data = p.table->ScanPinned();
+        EXPECT_TRUE(data.ok());
+        std::vector<Row> rows;
+        for (size_t r = 0; data.ok() && r < data->num_rows(); ++r) {
+          Row row;
+          for (size_t c : p.scan_column_indices) {
+            row.push_back(data->column(c).GetValue(r));
+          }
+          rows.push_back(std::move(row));
+        }
+        std::vector<bool> keep(rows.size(), true);
+        for (const auto& f : p.scan_filters) {
+          const std::vector<Value> v = EvalRows(*f, p, rows);
+          for (size_t r = 0; r < rows.size(); ++r) {
+            keep[r] = keep[r] && Truthy(v[r]);
+          }
+        }
+        for (size_t r = 0; r < rows.size(); ++r) {
+          if (keep[r]) out.push_back(rows[r]);
+        }
+        return out;
+      }
+      case PhysicalPlan::Kind::kFilter: {
+        const std::vector<Row> in = Reference(*p.children[0]);
+        const std::vector<Value> v = EvalRows(*p.predicate, p, in);
+        for (size_t r = 0; r < in.size(); ++r) {
+          if (Truthy(v[r])) out.push_back(in[r]);
+        }
+        return out;
+      }
+      case PhysicalPlan::Kind::kProject: {
+        const PhysicalPlan& child = *p.children[0];
+        const std::vector<Row> in = Reference(child);
+        out.assign(in.size(), Row());
+        for (const auto& e : p.projections) {
+          const std::vector<Value> v = EvalRows(*e, child, in);
+          for (size_t r = 0; r < in.size(); ++r) out[r].push_back(v[r]);
+        }
+        return out;
+      }
+      case PhysicalPlan::Kind::kHashJoin: {
+        const PhysicalPlan& probe = *p.children[0];
+        const PhysicalPlan& build = *p.children[1];
+        const std::vector<Row> probe_rows = Reference(probe);
+        const std::vector<Row> build_rows = Reference(build);
+        const std::vector<Value> pk = EvalRows(*p.probe_keys[0], probe,
+                                               probe_rows);
+        const std::vector<Value> bk = EvalRows(*p.build_keys[0], build,
+                                               build_rows);
+        for (size_t r = 0; r < probe_rows.size(); ++r) {
+          for (size_t b = build_rows.size(); b-- > 0;) {
+            if (pk[r].is_null() || bk[b].is_null() || !(pk[r] == bk[b])) {
+              continue;
+            }
+            Row row = probe_rows[r];
+            row.insert(row.end(), build_rows[b].begin(), build_rows[b].end());
+            out.push_back(std::move(row));
+          }
+        }
+        return out;
+      }
+      case PhysicalPlan::Kind::kLimit: {
+        out = Reference(*p.children[0]);
+        if (static_cast<int64_t>(out.size()) > p.limit) out.resize(p.limit);
+        return out;
+      }
+      case PhysicalPlan::Kind::kHashAggregate:
+        return ReferenceAggregate(p);
+      default:
+        ADD_FAILURE() << "reference has no " << p.KindName();
+        return out;
+    }
+  }
+
+  /// COUNT(*), COUNT(x), SUM(int x) and MAX(x) only.
+  static std::vector<Row> ReferenceAggregate(const PhysicalPlan& p) {
+    const PhysicalPlan& child = *p.children[0];
+    const std::vector<Row> in = Reference(child);
+    std::vector<std::vector<Value>> keys;
+    for (const auto& g : p.group_by) keys.push_back(EvalRows(*g, child, in));
+    std::vector<std::vector<Value>> inputs;
+    for (const auto& a : p.aggregates) {
+      inputs.push_back(a->children.empty()
+                           ? std::vector<Value>(in.size())
+                           : EvalRows(*a->children[0], child, in));
+    }
+    struct Group {
+      Row key;
+      std::vector<int64_t> n;
+      std::vector<Value> max;
+    };
+    std::map<std::string, Group> groups;
+    std::string encoded;
+    for (size_t r = 0; r < in.size(); ++r) {
+      std::vector<ColumnVector> key_cols;
+      for (size_t g = 0; g < keys.size(); ++g) {
+        key_cols.emplace_back(p.group_by[g]->type);
+        key_cols.back().AppendValue(keys[g][r]);
+      }
+      EncodeRowKeyInto(key_cols, 0, &encoded);
+      auto [it, inserted] = groups.try_emplace(encoded);
+      Group& grp = it->second;
+      if (inserted) {
+        for (const auto& k : keys) grp.key.push_back(k[r]);
+        grp.n.assign(p.aggregates.size(), 0);
+        grp.max.assign(p.aggregates.size(), Value::Null());
+      }
+      for (size_t a = 0; a < p.aggregates.size(); ++a) {
+        const Value& v = inputs[a][r];
+        switch (p.aggregates[a]->agg) {
+          case AggFunc::kCountStar:
+            ++grp.n[a];
+            break;
+          case AggFunc::kCount:
+            if (!v.is_null()) ++grp.n[a];
+            break;
+          case AggFunc::kSum:
+            if (!v.is_null()) grp.n[a] += v.AsInt();
+            break;
+          default:  // kMax
+            if (!v.is_null() && (grp.max[a].is_null() || grp.max[a] < v)) {
+              grp.max[a] = v;
+            }
+        }
+      }
+    }
+    if (groups.empty() && p.group_by.empty()) {
+      Group& zero = groups[""];
+      zero.n.assign(p.aggregates.size(), 0);
+      zero.max.assign(p.aggregates.size(), Value::Null());
+    }
+    std::vector<Row> out;
+    for (const auto& [key, grp] : groups) {
+      Row row = grp.key;
+      for (size_t a = 0; a < p.aggregates.size(); ++a) {
+        if (p.aggregates[a]->agg != AggFunc::kMax) {
+          row.push_back(Value(grp.n[a]));
+        } else if (!grp.max[a].is_null()) {
+          row.push_back(grp.max[a]);
+        } else {  // the NULL-free result convention zero-fills
+          row.push_back(p.aggregates[a]->type == LogicalType::kVarchar
+                            ? Value(std::string())
+                            : Value(int64_t{0}));
+        }
+      }
+      out.push_back(std::move(row));
+    }
+    return out;
+  }
+
+  /// The reference result as printed rows.
+  static std::string ReferenceText(const PhysicalPlan& plan) {
+    DataChunk want(plan.output_types);
+    for (const Row& r : Reference(plan)) want.AppendRow(r);
+    return want.ToString(-1);
+  }
+
+  /// Executes `plan` at 1, 2 and 4 threads; each result must print exactly
+  /// like the reference. Returns the reference row count.
+  static size_t ExpectMatchesReference(const PhysicalPlanPtr& plan) {
+    const std::string want = ReferenceText(*plan);
+    for (size_t threads : {1u, 2u, 4u}) {
+      LocalEngine engine(threads);
+      auto got = engine.Execute(plan.get());
+      EXPECT_TRUE(got.ok()) << got.status().ToString();
+      if (!got.ok()) return 0;
+      EXPECT_EQ(got->chunk.ToString(-1), want) << threads << " threads";
+    }
+    return static_cast<size_t>(std::count(want.begin(), want.end(), '\n'));
+  }
+
+  /// The star f ⋈ d1 ⋈ d2 ⋈ d3 (f probes every join), with `scan_filters`
+  /// on f.
+  PhysicalPlanPtr Star(std::vector<ExprPtr> scan_filters = {}) const {
+    PhysicalPlanPtr p = JoinOn(Scan(f_, std::move(scan_filters)), d1_,
+                               "f.fk1");
+    p = JoinOn(std::move(p), d2_, "f.fk2");
+    return JoinOn(std::move(p), d3_, "f.fk3");
+  }
+
+  std::shared_ptr<Table> f_, d1_, d2_, d3_;
+};
+
+TEST_F(LateMaterializationTest, StarJoinGathersBuildColumnsOnlyWhereRead) {
+  // d1.name (a build column of join 1) is first read by the GROUP BY after
+  // join 3; d1.a is never read. Unfused, then with the scan filter and the
+  // first probe fused.
+  for (bool fused : {false, true}) {
+    SCOPED_TRACE(fused ? "fused" : "unfused");
+    PhysicalPlanPtr star = Star({Expr::MakeCompare(
+        CompareOp::kLt, Col("f.v", LogicalType::kInt64), Int(90))});
+    PhysicalPlan* scan = star.get();
+    while (scan->kind != PhysicalPlan::Kind::kTableScan) {
+      scan = scan->children[0].get();
+    }
+    scan->fuse_scan_filter = fused;
+    star->children[0]->children[0]->fuse_probe = fused;
+    PhysicalPlanPtr agg = Aggregate(
+        star, {Col("d1.name", LogicalType::kVarchar)},
+        {Expr::MakeAgg(AggFunc::kCountStar, nullptr),
+         Expr::MakeAgg(AggFunc::kSum, Col("f.v", LogicalType::kInt64)),
+         Expr::MakeAgg(AggFunc::kCount, Col("d3.p", LogicalType::kVarchar)),
+         Expr::MakeAgg(AggFunc::kMax, Col("f.s", LogicalType::kVarchar))});
+    EXPECT_GT(ExpectMatchesReference(agg), 3u);
+
+    LocalEngine engine(2);
+    ASSERT_TRUE(engine.Execute(agg.get()).ok());
+    EXPECT_EQ(engine.last_fused_stats().fused_probe_morsels > 0, fused);
+  }
+}
+
+TEST_F(LateMaterializationTest, NullPayloadsSurviveComposedSelections) {
+  // Every column of the star comes out: NULL validity of probe payloads
+  // (f.v, f.s) and build payloads (d1.a, d1.name, d2.p, d3.p) must follow
+  // rows through three composed selections, with and without a filter.
+  EXPECT_GT(ExpectMatchesReference(Star()), 100u);
+  EXPECT_GT(ExpectMatchesReference(Star({Expr::MakeCompare(
+                CompareOp::kGe, Col("f.id", LogicalType::kInt64),
+                Int(100))})),
+            100u);
+}
+
+TEST_F(LateMaterializationTest, FilterAndProjectBetweenJoins) {
+  // f ⋈ d1, then a Filter reading both sides (NULL d1.a deselects), a
+  // Project, and a join on a computed probe key.
+  PhysicalPlanPtr p = JoinOn(Scan(f_), d1_, "f.fk1");
+  p = Filter(p, Expr::MakeCompare(
+                    CompareOp::kGt,
+                    Expr::MakeArith('+', Col("f.v", LogicalType::kInt64),
+                                    Col("d1.a", LogicalType::kInt64)),
+                    Int(40)));
+  p = Project(p, {{"p.fk2", Col("f.fk2", LogicalType::kInt64)},
+                  {"p.name", Col("d1.name", LogicalType::kVarchar)},
+                  {"p.v", Col("f.v", LogicalType::kInt64)}});
+  p = Join(p, Scan(d2_),
+           Expr::MakeArith('+', Col("p.fk2", LogicalType::kInt64), Int(1)),
+           Expr::MakeArith('+', Col("d2.k", LogicalType::kInt64), Int(1)));
+  EXPECT_GT(ExpectMatchesReference(p), 50u);
+  // The same chain into a grouped aggregate.
+  PhysicalPlanPtr agg = Aggregate(
+      p, {Col("d2.p", LogicalType::kInt64)},
+      {Expr::MakeAgg(AggFunc::kSum, Col("p.v", LogicalType::kInt64)),
+       Expr::MakeAgg(AggFunc::kMax, Col("p.name", LogicalType::kVarchar))});
+  EXPECT_GT(ExpectMatchesReference(agg), 3u);
+}
+
+TEST_F(LateMaterializationTest, EmptyMorselsFeedAGlobalAggregate) {
+  auto global = [](PhysicalPlanPtr child) {
+    return Aggregate(
+        std::move(child), {},
+        {Expr::MakeAgg(AggFunc::kCountStar, nullptr),
+         Expr::MakeAgg(AggFunc::kSum, Col("f.v", LogicalType::kInt64)),
+         Expr::MakeAgg(AggFunc::kMax, Col("d1.name", LogicalType::kVarchar))});
+  };
+  // Every row filtered out.
+  EXPECT_EQ(ExpectMatchesReference(global(Star({Expr::MakeCompare(
+                CompareOp::kGt, Col("f.v", LogicalType::kInt64),
+                Int(1000))}))),
+            1u);
+  // No probe row matches.
+  auto none = MakeDim("none", LogicalType::kInt64, 5, 5, -1);
+  PhysicalPlanPtr p = Join(JoinOn(Scan(f_), d1_, "f.fk1"), Scan(none),
+                           Col("f.fk2", LogicalType::kInt64),
+                           Expr::MakeArith('+', Col("none.k",
+                                                    LogicalType::kInt64),
+                                           Int(100)));
+  EXPECT_EQ(ExpectMatchesReference(global(p)), 1u);
+  // Only the first morsel keeps rows; the others arrive empty.
+  EXPECT_EQ(ExpectMatchesReference(global(Star({Expr::MakeCompare(
+                CompareOp::kLt, Col("f.id", LogicalType::kInt64),
+                Int(40))}))),
+            1u);
+}
+
+/// Collects streamed chunks in push order.
+class CollectingSink : public ChunkSink {
+ public:
+  Status Push(DataChunk chunk) override {
+    if (all_.num_columns() == 0) all_ = DataChunk(chunk.Types());
+    all_.Append(chunk);
+    return Status::OK();
+  }
+  const DataChunk& all() const { return all_; }
+
+ private:
+  DataChunk all_;
+};
+
+TEST_F(LateMaterializationTest, ExecuteToSinkLimitOverJoin) {
+  for (int64_t limit : {0, 7, 150}) {
+    SCOPED_TRACE("limit " + std::to_string(limit));
+    PhysicalPlanPtr plan = Limit(
+        JoinOn(Scan(f_, {Expr::MakeCompare(CompareOp::kGe,
+                                          Col("f.id", LogicalType::kInt64),
+                                          Int(30))}),
+               d1_, "f.fk1"),
+        limit);
+    const std::string want = ReferenceText(*plan);
+    for (size_t threads : {1u, 2u, 4u}) {
+      LocalEngine engine(threads);
+      CollectingSink sink;
+      auto streamed = engine.ExecuteToSink(plan.get(), &sink);
+      ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+      EXPECT_EQ(streamed->rows_streamed, static_cast<size_t>(limit));
+      EXPECT_EQ(sink.all().ToString(-1), want) << threads << " threads";
+    }
+  }
+}
+
+TEST_F(LateMaterializationTest, PersistedProbeSideBehindATinyBlockCache) {
+  // The block cache holds less than one block, so every cold row group is
+  // decoded, handed to the scan and evicted at once: the morsel's pin is
+  // the only holder of the columns the chunk borrows.
+  PricingCatalog pricing = PricingCatalog::Default();
+  SimulatedObjectStore store(&pricing);
+  const auto spill =
+      std::filesystem::temp_directory_path() / "costdb_test_late_cold";
+  std::filesystem::remove_all(spill);
+  ASSERT_TRUE(store.EnableSpill(spill.string()).ok());
+  BlockCache cache(/*capacity_bytes=*/256);
+  auto cold = MakeFact("f");
+  std::vector<LogicalType> types;
+  for (const auto& c : cold->columns()) types.push_back(c.type);
+  ASSERT_TRUE(cold->AttachStorage(std::make_shared<TableStorage>(
+                                      cold->name(), std::move(types),
+                                      cold->row_group_size(), &store,
+                                      &cache, StorageOptions(),
+                                      [] { return StoragePricing(); }))
+                  .ok());
+  for (const auto& g : cold->row_groups()) ASSERT_FALSE(g.resident);
+  f_ = cold;
+
+  EXPECT_GT(ExpectMatchesReference(Star()), 100u);
+  PhysicalPlanPtr agg = Aggregate(
+      Star(), {Col("d1.name", LogicalType::kVarchar)},
+      {Expr::MakeAgg(AggFunc::kSum, Col("f.v", LogicalType::kInt64)),
+       Expr::MakeAgg(AggFunc::kMax, Col("f.s", LogicalType::kVarchar))});
+  EXPECT_GT(ExpectMatchesReference(agg), 3u);
+  LocalEngine engine(4);
+  ASSERT_TRUE(engine.Execute(agg.get()).ok());
+  EXPECT_GT(engine.last_block_stats().misses, 0);
+  EXPECT_EQ(cache.entries(), 0u);
+  std::filesystem::remove_all(spill);
+}
+
+TEST(EvaluatorTest, EvaluateRefBorrowsBareColumns) {
+  DataChunk chunk({LogicalType::kInt64, LogicalType::kVarchar});
+  chunk.AppendRow({Value(int64_t{4}), Value(std::string("x"))});
+  chunk.AppendRow({Value(int64_t{6}), Value::Null()});
+  std::vector<std::string> names = {"a", "s"};
+  Evaluator ev(&names);
+  ColumnVector scratch;
+
+  auto bare = ev.EvaluateRef(*Expr::MakeColumn("s", LogicalType::kVarchar),
+                             chunk, &scratch);
+  ASSERT_TRUE(bare.ok());
+  EXPECT_EQ(*bare, &chunk.column(1));  // the chunk's own column, no copy
+  EXPECT_EQ(scratch.size(), 0u);
+
+  auto computed = ev.EvaluateRef(
+      *Expr::MakeArith('+', Expr::MakeColumn("a", LogicalType::kInt64),
+                       Expr::MakeConstant(Value(int64_t{1}),
+                                          LogicalType::kInt64)),
+      chunk, &scratch);
+  ASSERT_TRUE(computed.ok());
+  EXPECT_EQ(*computed, &scratch);
+  ASSERT_EQ(scratch.size(), 2u);
+  EXPECT_EQ(scratch.GetInt(0), 5);
+  EXPECT_EQ(scratch.GetInt(1), 7);
+
+  EXPECT_FALSE(ev.EvaluateRef(*Expr::MakeColumn("nope", LogicalType::kInt64),
+                              chunk, &scratch)
+                   .ok());
 }
 
 TEST(LikeMatchTest, Patterns) {

@@ -203,15 +203,68 @@ TEST(HashKernel, NullKeysHashToOneTagNeverTheirPayload) {
   with_stale.MutableValidity()[1] = 0;  // NULL with stale payload -7
 
   std::vector<uint64_t> h1, h2;
-  kernels::HashRows({with_filler}, {true}, 2, &h1);
-  kernels::HashRows({with_stale}, {true}, 2, &h2);
+  kernels::HashRows(std::vector<ColumnVector>{with_filler}, {true}, 2, &h1);
+  kernels::HashRows(std::vector<ColumnVector>{with_stale}, {true}, 2, &h2);
   EXPECT_NE(h1[0], h1[1]) << "NULL hashed like a genuine 0";
   EXPECT_EQ(h2[0], h2[1]) << "NULL hash depends on stale payload";
   EXPECT_EQ(h1[1], h2[0]) << "NULL hash differs across vectors";
 
   // AnyKeyNull is the probe/build guard.
-  EXPECT_FALSE(kernels::AnyKeyNull({with_filler}, 0));
-  EXPECT_TRUE(kernels::AnyKeyNull({with_filler}, 1));
+  const std::vector<ColumnVector> filler_keys{with_filler};
+  EXPECT_FALSE(kernels::AnyKeyNull(filler_keys, 0));
+  EXPECT_TRUE(kernels::AnyKeyNull(filler_keys, 1));
+}
+
+TEST(HashKernel, GoldenValuesArePinned) {
+  // Shuffle buckets, table partitions and the committed benchmark result
+  // digests all derive from these hashes: a change to any hash body (or to
+  // HashRows' seed, combine order or NULL tag) must fail here first.
+  ColumnVector ints(LogicalType::kInt64);
+  ints.AppendInt(0);
+  ints.AppendInt(42);
+  ints.AppendInt(-7);
+  ints.AppendNull();
+  ColumnVector doubles(LogicalType::kDouble);
+  doubles.AppendDouble(0.0);
+  doubles.AppendDouble(-0.0);
+  doubles.AppendDouble(2.5);
+  doubles.AppendNull();
+  ColumnVector strings(LogicalType::kVarchar);
+  strings.AppendString("");
+  strings.AppendString("abc");
+  strings.AppendString("lineorder");
+  strings.AppendNull();
+  struct Case {
+    const char* name;
+    std::vector<ColumnVector> keys;
+    std::vector<bool> as_double;
+    std::vector<uint64_t> want;
+  };
+  const std::vector<Case> cases = {
+      {"int", {ints}, {false},
+       {0x53cb9a23a5b0c7eaULL, 0x50e3625fc6731dbfULL, 0x10fbbfeb3a604ce9ULL,
+        0x6aad37d51733d002ULL}},
+      {"int as double", {ints}, {true},
+       {0x53cb9a23a5b0c7eaULL, 0x59222e65c79812f5ULL, 0x733561ef5b74e2bdULL,
+        0x6aad37d51733d002ULL}},
+      {"double", {doubles}, {false},
+       {0x53cb9a23a5b0c7eaULL, 0x53cb9a23a5b0c7eaULL, 0x9e268889de67eb0cULL,
+        0x6aad37d51733d002ULL}},
+      {"string", {strings}, {false},
+       {0xfd9fcdcd91d892b9ULL, 0x5d0b8c1875151cceULL, 0x78a0f2daf6cfc13cULL,
+        0x6aad37d51733d002ULL}},
+      {"int, string", {ints, strings}, {false, false},
+       {0x19e5e36619e98708ULL, 0xdadd756034bab9c7ULL, 0x2409b35bef8ab2fbULL,
+        0x5a266dc7749381a3ULL}},
+      {"double, int as double", {doubles, ints}, {false, true},
+       {0xe6ffe12b0c79d013ULL, 0x0b9e6b3bb61737fcULL, 0x9b697d0094ee3bf7ULL,
+        0x5a266dc7749381a3ULL}},
+  };
+  for (const Case& c : cases) {
+    std::vector<uint64_t> got;
+    kernels::HashRows(c.keys, c.as_double, 4, &got);
+    EXPECT_EQ(got, c.want) << c.name;
+  }
 }
 
 TEST(VectorizedParity, NullComparisonNeverSelects) {
